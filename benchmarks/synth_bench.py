@@ -21,7 +21,7 @@ network simulation) and records the speedups the substrate must sustain.
 
 Run as a module::
 
-    python -m benchmarks.synth_bench [-o BENCH_synth.json] [--jobs N]
+    python -m benchmarks.synth_bench [-o BENCH_synth.json]
         [--corpus small|large]
 
 (or ``python benchmarks/synth_bench.py`` with ``src`` on ``PYTHONPATH``).
@@ -43,7 +43,6 @@ def run_bench(
     names: tuple[str, ...] = DEFAULT_BENCHMARKS,
     psi: int = 3,
     seed: int = 0,
-    jobs: int = 1,
     cache_dir: str | None = None,
 ) -> dict:
     from repro.benchgen.extended import build_extended_benchmark
@@ -65,7 +64,7 @@ def run_bench(
         prepared = prepare_tels(source)
         start = time.perf_counter()
         network, report = synthesize_with_report(
-            prepared, options, jobs=jobs, store=store
+            prepared, options, store=store
         )
         wall = time.perf_counter() - start
         if not verify_threshold_network(source, network, vectors=256):
@@ -97,7 +96,7 @@ def run_bench(
     warm_before = store.stats.snapshot()
     start = time.perf_counter()
     for prepared in warm_nets:
-        synthesize_with_report(prepared, options, jobs=jobs, store=store)
+        synthesize_with_report(prepared, options, store=store)
     warm_wall = time.perf_counter() - start
     warm = store.stats.since(warm_before)
 
@@ -112,7 +111,7 @@ def run_bench(
     delta_before = store.stats.snapshot()
     start = time.perf_counter()
     for prepared in warm_nets:
-        synthesize_with_report(prepared, delta_options, jobs=jobs, store=store)
+        synthesize_with_report(prepared, delta_options, store=store)
     delta_wall = time.perf_counter() - start
     delta = store.stats.since(delta_before)
 
@@ -129,7 +128,7 @@ def run_bench(
             start = time.perf_counter()
             for prepared in warm_nets:
                 synthesize_with_report(
-                    prepared, options, jobs=jobs, store=pstore
+                    prepared, options, store=pstore
                 )
             return time.perf_counter() - start, pstore
 
@@ -172,7 +171,7 @@ def run_bench(
         )
         start = time.perf_counter()
         gm_net, gm_report = synthesize_with_report(
-            gm_prepared, gm_options, jobs=jobs, store=ResultStore()
+            gm_prepared, gm_options, store=ResultStore()
         )
         gm_wall = time.perf_counter() - start
         if not verify_threshold_network(gm_source, gm_net, vectors=256):
@@ -205,21 +204,18 @@ def run_bench(
     for name in names:
         source = build_extended_benchmark(name)
         network, _ = synthesize_with_report(
-            prepare_tels(source), options, jobs=jobs, store=store
+            prepare_tels(source), options, store=store
         )
         lint_report = run_lint(network, LintOptions(psi=psi), source=source)
         lint_violations += lint_report.violations
     lint_wall = time.perf_counter() - start
 
-    analysis = run_analysis_phase(names, psi=psi, seed=seed, jobs=jobs)
-    distributed = run_distributed_phase(names, psi=psi, seed=seed)
+    analysis = run_analysis_phase(names, psi=psi, seed=seed)
 
     return {
         "analysis": analysis,
-        "distributed": distributed,
         "psi": psi,
         "seed": seed,
-        "jobs": jobs,
         **persistent,
         "lint_wall_s": round(lint_wall, 4),
         "lint_violations": lint_violations,
@@ -280,7 +276,6 @@ def run_analysis_phase(
     names: tuple[str, ...],
     psi: int = 3,
     seed: int = 0,
-    jobs: int = 1,
 ) -> dict:
     """Dataflow-analysis phase: certificates per gate model + a stressor.
 
@@ -349,7 +344,7 @@ def run_analysis_phase(
             psi=9, seed=seed, gate_model=model, preserve_sharing=False
         )
         gm_net, _ = synthesize_with_report(
-            gm_prepared, gm_options, jobs=jobs, store=ResultStore()
+            gm_prepared, gm_options, store=ResultStore()
         )
         start = time.perf_counter()
         result = analyze_threshold_network(
@@ -381,7 +376,7 @@ def run_analysis_phase(
     for name in names:
         prepared = prepare_tels(build_extended_benchmark(name))
         network, _ = synthesize_with_report(
-            prepared, options, jobs=jobs, store=store
+            prepared, options, store=store
         )
         result = analyze_threshold_network(
             network, AnalysisOptions(seed=seed)
@@ -409,86 +404,6 @@ def run_analysis_phase(
     }
 
 
-def run_distributed_phase(
-    names: tuple[str, ...],
-    psi: int = 3,
-    seed: int = 0,
-    workers: int = 2,
-) -> dict:
-    """Distributed phase: the subset farmed to in-process remote workers.
-
-    Boots an in-process daemon (:class:`repro.serve.app.ServeApp`) plus
-    ``workers`` worker threads and re-synthesizes every benchmark with
-    ``distribute=<url>``, against a serial baseline of the same subset.
-    The tracked invariant is byte-identity: distribution may only change
-    *where* a cone runs, never what the assembled network looks like —
-    the ``identical`` flag feeds a FAIL gate in :func:`main`.  Alongside
-    wall times the phase records the resilience counters (expired leases,
-    re-enqueued cones, cones that fell back to the local executor) and the
-    daemon's network-cache traffic, so regressions in the distributed
-    path's sharing or retry behaviour show up in the artifact.
-    """
-    from repro.benchgen.extended import build_extended_benchmark
-    from repro.core.synthesis import SynthesisOptions
-    from repro.engine.scheduler import run_synthesis
-    from repro.io.thblif import to_thblif
-    from repro.network.scripts import prepare_tels
-    from repro.serve.app import ServeApp
-    from repro.serve.worker import start_worker_thread
-
-    options = SynthesisOptions(psi=psi, seed=seed)
-    prepared = [prepare_tels(build_extended_benchmark(n)) for n in names]
-
-    serial_texts = []
-    start = time.perf_counter()
-    for network in prepared:
-        serial_texts.append(to_thblif(run_synthesis(network, options).network))
-    serial_wall = time.perf_counter() - start
-
-    app = ServeApp(port=0)
-    app.start_background()
-    handles = [
-        start_worker_thread(app.url, worker_id=f"bench-w{i}")
-        for i in range(workers)
-    ]
-    identical = True
-    workers_seen = 0
-    lease_expirations = requeues = fallback_tasks = 0
-    try:
-        start = time.perf_counter()
-        for network, expected in zip(prepared, serial_texts):
-            outcome = run_synthesis(network, options, distribute=app.url)
-            identical &= to_thblif(outcome.network) == expected
-            trace = outcome.trace
-            workers_seen = max(workers_seen, trace.remote_workers)
-            lease_expirations += trace.lease_expirations
-            requeues += trace.requeues
-            fallback_tasks += trace.remote_fallback_tasks
-        distributed_wall = time.perf_counter() - start
-        network_cache = dict(app.manager.stats()["network_cache"])
-        duplicate_results = app.manager.broker.duplicate_results
-    finally:
-        for _thread, stop in handles:
-            stop.set()
-        for thread, _stop in handles:
-            thread.join(timeout=5.0)
-        app.shutdown()
-
-    return {
-        "workers": workers,
-        "workers_seen": workers_seen,
-        "serial_wall_s": round(serial_wall, 4),
-        "distributed_wall_s": round(distributed_wall, 4),
-        "speedup": round(serial_wall / max(distributed_wall, 1e-9), 4),
-        "identical": identical,
-        "lease_expirations": lease_expirations,
-        "requeues": requeues,
-        "fallback_tasks": fallback_tasks,
-        "duplicate_results": duplicate_results,
-        "network_cache": network_cache,
-    }
-
-
 def _percentile_ms(sorted_walls: list[float], q: float) -> float:
     """Nearest-rank percentile of a sorted wall-time list, in ms."""
     if not sorted_walls:
@@ -500,7 +415,6 @@ def _percentile_ms(sorted_walls: list[float], q: float) -> float:
 def run_large_corpus(
     psi: int = 3,
     seed: int = 0,
-    jobs: int = 1,
     limit: int | None = None,
 ) -> dict:
     """Synthesize the large corpus and distill per-cone latency stats.
@@ -545,7 +459,7 @@ def run_large_corpus(
         else:
             options = SynthesisOptions(psi=psi, seed=seed)
         network, report = synthesize_with_report(
-            prepared, options, jobs=jobs, store=store
+            prepared, options, store=store
         )
         if not verify_threshold_network(source, network, vectors=128):
             raise SystemExit(f"corpus verification failed on {name!r}")
@@ -697,7 +611,6 @@ def run_substrate_microbench(repeats: int = 3) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--output", default="BENCH_synth.json")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
         "--benchmarks", nargs="*", default=list(DEFAULT_BENCHMARKS)
     )
@@ -726,13 +639,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     cache_dir = None if args.no_cache else args.cache
-    result = run_bench(
-        tuple(args.benchmarks), jobs=args.jobs, cache_dir=cache_dir
-    )
+    result = run_bench(tuple(args.benchmarks), cache_dir=cache_dir)
     if args.corpus == "large":
-        result["large_corpus"] = run_large_corpus(
-            jobs=args.jobs, limit=args.corpus_limit
-        )
+        result["large_corpus"] = run_large_corpus(limit=args.corpus_limit)
         result["substrate_microbench"] = run_substrate_microbench()
     Path(args.output).write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
@@ -801,20 +710,6 @@ def main(argv: list[str] | None = None) -> int:
     # a degraded cone here means a deadline/retry bug, not a real fault.
     if result["degraded_cones"] != 0:
         print("FAIL: cones degraded without fault injection")
-        return 1
-    # Distribution may change where a cone runs, never the output: the
-    # remote run must assemble byte-identical networks, on real workers
-    # (a silent fallback to the local executor would mask a broken
-    # distributed path while keeping the bytes right).
-    distributed = result["distributed"]
-    if not distributed["identical"]:
-        print("FAIL: distributed phase diverged from the serial baseline")
-        return 1
-    if distributed["workers_seen"] < 1:
-        print("FAIL: distributed phase never saw a live worker")
-        return 1
-    if distributed["fallback_tasks"] != 0:
-        print("FAIL: distributed phase fell back to the local executor")
         return 1
     if args.corpus == "large":
         corpus = result["large_corpus"]

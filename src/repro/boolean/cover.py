@@ -36,7 +36,7 @@ class Cover:
     :meth:`scc` carries its kept-cube order from the parent cover's
     tie-break, which is not recomputable from its own cubes — dropping
     the marker would let a pickled copy re-reduce into a reordered cover
-    and break byte-identity between local and remote synthesis.
+    and synthesize different gates than the original.
     """
 
     __slots__ = (

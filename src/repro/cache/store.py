@@ -17,11 +17,9 @@ Design points:
   advisory ``cache.jsonl.lock`` flock, so the daemon's concurrent job
   threads — or two processes sharing one cache directory — cannot
   interleave partial journal appends or race a compaction rename.
-* **journal/merge semantics** — new entries accumulate in a dirty journal;
-  the engine's process-pool workers hold read-only copies (pickling a
-  cache drops its journal and write permission), journal through the
-  existing :class:`~repro.engine.store.StoreDelta` path, and the parent
-  commits the merged deltas here.
+* **journal semantics** — new entries accumulate in a dirty journal that
+  :meth:`flush` appends to disk; a cache opened ``read_only`` serves
+  lookups and takes no writes.
 * **graceful degradation** — a corrupted, truncated, or version- or
   fingerprint-mismatched file is logged and treated as empty (the run goes
   cold instead of failing); the next :meth:`flush` rewrites it whole.
@@ -41,7 +39,6 @@ Design points:
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
 import os
@@ -110,18 +107,6 @@ def parse_signature(text: str) -> tuple:
             pos, _, neg = item.partition(".")
             rows.append((int(pos), int(neg)))
     return (nvars, tuple(rows))
-
-
-def values_etag(values: list[int] | None) -> str:
-    """Content fingerprint of one cache entry's canonical values.
-
-    Served as the ``ETag`` of the network cache tier
-    (``GET /cache/{key}``) and recomputed by the client over the received
-    body, so a payload corrupted in transit is detected before it even
-    reaches the transform+verify path.
-    """
-    payload = json.dumps(values, separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def entry_key(
@@ -403,28 +388,6 @@ class PersistentCache:
                     logger.warning(
                         "cache %s clear failed (%s)", self.path, exc
                     )
-
-    # -- worker shipping -----------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle as a read-only snapshot: workers look up, never write."""
-        with self._lock:
-            return {
-                "path": str(self.path),
-                "fingerprint": self.fingerprint,
-                "entries": dict(self._entries),
-            }
-
-    def __setstate__(self, state: dict) -> None:
-        self.path = Path(state["path"])
-        self.fingerprint = state["fingerprint"]
-        self.read_only = True
-        self._entries = state["entries"]
-        self._dirty = {}
-        self._needs_rewrite = False
-        self._lock = threading.RLock()
-        self.file_stats = CacheFileStats(
-            entries=len(self._entries), path=str(self.path)
-        )
 
     def __repr__(self) -> str:
         mode = "ro" if self.read_only else "rw"

@@ -115,20 +115,6 @@ def _add_synthesis_args(parser: argparse.ArgumentParser) -> None:
     _add_backend_args(parser)
     _add_cache_args(parser)
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="cone-synthesis worker processes (0 = all cores)",
-    )
-    parser.add_argument(
-        "--distribute",
-        metavar="URL",
-        default=None,
-        help="farm cones to `tels worker` processes through this serve "
-        "daemon; on total worker loss the run degrades to a local "
-        "executor and still completes with identical output",
-    )
-    parser.add_argument(
         "--no-lint",
         action="store_true",
         help="skip the static lint post-pass over the synthesized network",
@@ -159,14 +145,14 @@ def _add_synthesis_args(parser: argparse.ArgumentParser) -> None:
         "--max-attempts",
         type=int,
         default=3,
-        help="dispatch attempts per cone before degrading (transient "
-        "failures retry with exponential backoff)",
+        help="runs per cone before degrading (transient failures retry "
+        "with exponential backoff)",
     )
     parser.add_argument(
         "--strict-synthesis",
         action="store_true",
-        help="fail instead of degrading a cone that times out, crashes "
-        "repeatedly, or exhausts its retries",
+        help="fail instead of degrading a cone that times out or "
+        "exhausts its retries",
     )
 
 
@@ -189,10 +175,6 @@ def _options(args: argparse.Namespace) -> SynthesisOptions:
     )
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    return getattr(args, "jobs", 1)
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     network = read_blif(args.file)
     stats = boolean_stats(network)
@@ -213,9 +195,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     network = read_blif(args.file)
     prepared = prepare_tels(network)
-    # Ctrl-C cancels cooperatively: the first SIGINT sets the flag, the
-    # scheduler stops between cones and reaps its pool workers (a second
-    # Ctrl-C falls through to the default handler and kills the process).
+    # Ctrl-C cancels cooperatively: the first SIGINT sets the flag and the
+    # scheduler stops between cones (a second Ctrl-C falls through to the
+    # default handler and kills the process).
     cancel = threading.Event()
 
     def _on_sigint(signum, frame):
@@ -236,10 +218,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         threshold_net, report = synthesize_with_report(
             prepared,
             _options(args),
-            jobs=_jobs(args),
             cache_dir=_cache_dir(args),
             cancel=cancel,
-            distribute=getattr(args, "distribute", None),
         )
     except SynthesisCancelled as exc:
         print(f"tels synth: {exc}", file=sys.stderr)
@@ -589,7 +569,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         delta_off=args.delta_off,
         psi=args.psi,
         seed=args.seed,
-        jobs=args.jobs,
         cache_dir=_cache_dir(args),
         gate_model=getattr(args, "gate_model", "ltg"),
     )
@@ -610,7 +589,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             _sys.path.insert(0, str(repo_root))
         from benchmarks.synth_bench import main as bench_main
 
-        bench_args = ["--corpus", args.corpus, "--jobs", str(args.jobs)]
+        bench_args = ["--corpus", args.corpus]
         if args.output:
             bench_args += ["-o", args.output]
         return bench_main(bench_args)
@@ -710,7 +689,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         synthesize_with_report(
             prepare_tels(source),
             SynthesisOptions(psi=args.psi, seed=args.seed),
-            jobs=_jobs(args),
             store=store,
         )
         print(f"warmed {name}: cache now {len(store.persistent)} entries")
@@ -833,7 +811,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         journal_dir=args.journal,
         max_workers=args.max_workers,
         queue_limit=args.queue_limit,
-        lease_s=args.lease_s,
     )
     print(f"tels serve listening on {app.url}")
     if app.manager.journal is not None:
@@ -844,38 +821,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("tels serve: shutting down", file=sys.stderr)
     finally:
         app.shutdown()
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    import logging
-    import signal
-    import threading
-
-    from repro.serve.client import resolve_url
-    from repro.serve.worker import run_worker
-
-    logging.basicConfig(
-        level=logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
-    stop = threading.Event()
-    with contextlib.suppress(ValueError):  # not the main thread
-        signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    try:
-        done = run_worker(
-            resolve_url(args.url),
-            worker_id=args.worker_id,
-            max_tasks=args.max_tasks,
-            poll_s=args.poll_s,
-            stop=stop,
-            use_network_cache=not args.no_network_cache,
-        )
-    except KeyboardInterrupt:
-        stop.set()
-        print("tels worker: shutting down", file=sys.stderr)
-        return 0
-    print(f"tels worker: {done} cone(s) completed", file=sys.stderr)
     return 0
 
 
@@ -919,7 +864,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         blif,
         name=name,
         options=_api_options(args),
-        jobs=_jobs(args),
         use_cache=not args.no_cache,
     )
     job_id = snapshot["id"]
@@ -1101,7 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the benchmarks/synth_bench suite instead of emitting "
         "BLIF ('large' adds the corpus and substrate sections)",
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -1138,7 +1081,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-off", type=int, default=1)
     p.add_argument("--psi", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     _add_gate_model_arg(p)
     _add_cache_args(p)
     p.set_defaults(func=cmd_sweep)
@@ -1185,7 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
             cp.add_argument("--psi", type=int, default=3)
             cp.add_argument("--seed", type=int, default=0)
-            cp.add_argument("--jobs", type=int, default=1)
         cp.set_defaults(func=cmd_cache)
 
     p = sub.add_parser(
@@ -1272,36 +1213,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=256,
         help="pending-job bound before submissions get 503",
     )
-    p.add_argument(
-        "--lease-s",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="work-broker lease duration: a worker missing its heartbeat "
-        "this long forfeits its cones back to the queue (default 15)",
-    )
     p.add_argument("--verbose", action="store_true", help="debug logging")
     _add_cache_args(p)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "worker",
-        help="run a remote cone-synthesis worker against a serve daemon",
-    )
-    _add_url_arg(p)
-    p.add_argument("--id", default=None, dest="worker_id")
-    p.add_argument(
-        "--max-tasks", type=int, default=4, help="cones per claim batch"
-    )
-    p.add_argument(
-        "--poll-s", type=float, default=0.2, help="idle poll interval"
-    )
-    p.add_argument(
-        "--no-network-cache",
-        action="store_true",
-        help="solve without the daemon's shared cache tier",
-    )
-    p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(
         "submit", help="submit a BLIF circuit to a running daemon"

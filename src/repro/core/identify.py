@@ -102,7 +102,7 @@ class CheckStats:
         )
 
     def add(self, delta: "CheckStats") -> None:
-        """Fold another stats record (e.g. a worker's delta) into this one."""
+        """Fold another stats record (e.g. one suite row's) into this one."""
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(delta, f.name))
 

@@ -22,8 +22,8 @@ network (Section V-A).
 Since the engine refactor this module is a thin compatibility façade: the
 recursion lives in :mod:`repro.engine` as per-cone tasks driven by a
 work-queue scheduler (:func:`repro.engine.scheduler.run_synthesis`), which
-is what adds ``jobs`` (process-pool parallelism across cones) and ``store``
-(a shared result cache across runs and sweeps) to the signatures below.
+is what adds ``store`` (a shared result cache across runs and sweeps) to
+the signatures below.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class SynthesisOptions:
         backend: ILP backend (``auto`` / ``exact`` / ``scipy``).
         seed: RNG seed for the random tie-breaks of splitting rule 4.  Each
             cone task derives its own ``random.Random("{seed}:{task_id}")``
-            stream, so results are reproducible under parallel execution.
+            stream, so results do not depend on the order cones run in.
         apply_theorem2: enable the Theorem-2 combining step (ablation knob).
         preserve_sharing: treat fanout nodes as collapse barriers (ablation
             knob; the paper argues this preserves network structure).
@@ -89,18 +89,13 @@ class SynthesisOptions:
             default — it re-simulates the network per removal candidate.
         deadline_per_cone_s: wall-clock budget for each cone task; a cone
             blowing it falls back to the one-to-one mapping (degradation).
-            None disables the per-cone deadline and the watchdog.
+            None disables the per-cone deadline.
         deadline_total_s: wall-clock budget for the whole run; on expiry
             every unfinished cone degrades.
-        max_attempts: dispatch attempts per cone for transient errors
-            before degrading.
-        poison_crashes: worker crashes a cone may cause (or witness) before
-            it is quarantined and degraded.
+        max_attempts: runs per cone for transient errors before degrading.
         retry_backoff_s / retry_backoff_max_s: base and cap of the
             exponential retry backoff (deterministically jittered from
             ``seed``).
-        watchdog_grace_s: slack past ``deadline_per_cone_s`` before the
-            process executor's watchdog kills a wedged worker pool.
         strict_synthesis: raise :class:`SynthesisError` instead of
             degrading a failed cone (see docs/RESILIENCE.md).
     """
@@ -125,10 +120,8 @@ class SynthesisOptions:
     deadline_per_cone_s: float | None = None
     deadline_total_s: float | None = None
     max_attempts: int = 3
-    poison_crashes: int = 3
     retry_backoff_s: float = 0.05
     retry_backoff_max_s: float = 0.5
-    watchdog_grace_s: float = 2.0
     strict_synthesis: bool = False
 
     def __post_init__(self) -> None:
@@ -142,8 +135,6 @@ class SynthesisOptions:
                 raise SynthesisError(f"{name} must be positive when set")
         if self.max_attempts < 1:
             raise SynthesisError("max_attempts must be at least 1")
-        if self.poison_crashes < 1:
-            raise SynthesisError("poison_crashes must be at least 1")
         from repro.gates import model_names
 
         if self.gate_model not in model_names():
@@ -185,20 +176,16 @@ class SynthesisReport:
 def synthesize(
     network: BooleanNetwork,
     options: SynthesisOptions | None = None,
-    jobs: int = 1,
     store: "ResultStore | None" = None,
     cache_dir: str | None = None,
     on_event=None,
     cancel=None,
-    distribute: str | None = None,
 ) -> ThresholdNetwork:
     """Run TELS on an (ideally algebraically-factored) Boolean network.
 
     Args:
         network: the prepared source network.
         options: flow parameters (defaults mirror the paper).
-        jobs: cone-synthesis worker processes; 1 runs inline, 0 uses every
-            core.  Serial and parallel runs emit identical networks.
         store: optional shared :class:`~repro.engine.store.ResultStore`;
             pass the same store across runs/sweeps to reuse threshold-check
             results and re-solve only what changed.
@@ -210,33 +197,26 @@ def synthesize(
         cancel: optional cooperative cancellation flag checked between
             cones; when set the run raises
             :class:`~repro.errors.SynthesisCancelled`.
-        distribute: URL of a ``tels serve`` daemon to farm cones to
-            (see :mod:`repro.engine.remote`); output is byte-identical
-            to a local run.
     """
     from repro.engine.scheduler import run_synthesis
 
     return run_synthesis(
         network,
         options,
-        jobs=jobs,
         store=store,
         cache_dir=cache_dir,
         on_event=on_event,
         cancel=cancel,
-        distribute=distribute,
     ).network
 
 
 def synthesize_with_report(
     network: BooleanNetwork,
     options: SynthesisOptions | None = None,
-    jobs: int = 1,
     store: "ResultStore | None" = None,
     cache_dir: str | None = None,
     on_event=None,
     cancel=None,
-    distribute: str | None = None,
 ) -> tuple[ThresholdNetwork, SynthesisReport]:
     """Like :func:`synthesize` but also returns run statistics."""
     from repro.engine.scheduler import run_synthesis
@@ -244,11 +224,9 @@ def synthesize_with_report(
     result = run_synthesis(
         network,
         options,
-        jobs=jobs,
         store=store,
         cache_dir=cache_dir,
         on_event=on_event,
         cancel=cancel,
-        distribute=distribute,
     )
     return result.network, result.report

@@ -9,9 +9,8 @@ Four layers, bottom to top:
   primary-output cone becomes an explicit :class:`SynthTask`; cones discover
   their dependencies (the preserved or collapse-blocked nodes their gates
   read) while they run.
-* :mod:`repro.engine.executor` — the **executor layer**: ``serial`` and
-  ``process`` backends dispatch independent cone tasks; the scheduler in
-  :mod:`repro.engine.scheduler` drives the work queue and merges results
+* :mod:`repro.engine.scheduler` — the **scheduler**: runs the queued cone
+  tasks in-process, one at a time, and merges their results
   deterministically (stable task ids, per-task seeded RNG streams).
 * :mod:`repro.engine.events` — the **instrumentation layer**: structured
   per-task events (collapse/check/split timings, cache hit rates) aggregated
@@ -21,7 +20,7 @@ Four layers, bottom to top:
 :func:`run_synthesis`.
 
 This ``__init__`` must stay import-light: ``repro.core.identify`` imports
-:mod:`repro.engine.store` at runtime, so importing scheduler/executor here
+:mod:`repro.engine.store` at runtime, so importing the scheduler here
 would create a cycle.  Heavy symbols resolve lazily via ``__getattr__``.
 """
 
@@ -30,14 +29,12 @@ from __future__ import annotations
 from repro.engine.store import (
     CoverAnalysis,
     ResultStore,
-    StoreDelta,
     StoreStats,
 )
 
 __all__ = [
     "CoverAnalysis",
     "ResultStore",
-    "StoreDelta",
     "StoreStats",
     "EngineTrace",
     "TaskEvent",
@@ -46,7 +43,6 @@ __all__ = [
     "TaskResult",
     "EngineResult",
     "run_synthesis",
-    "make_executor",
 ]
 
 _LAZY = {
@@ -57,7 +53,6 @@ _LAZY = {
     "TaskResult": "repro.engine.tasks",
     "EngineResult": "repro.engine.scheduler",
     "run_synthesis": "repro.engine.scheduler",
-    "make_executor": "repro.engine.executor",
 }
 
 

@@ -5,27 +5,26 @@ restructured so that one :class:`ConeSynthesizer` handles exactly one cone
 rooted at a preserved node, a primary-output node, or a collapse-blocked
 node.  Everything the cone creates (split parts, AND-tree internals) lives
 in a task-local overlay of the source network under names derived from the
-root, so cones never contend and serial/parallel runs emit byte-identical
+root, so cones never contend and the order cones run in never changes their
 gates.  References to *other* work-network nodes are not recursed into —
 they are recorded as discovered roots for the scheduler to turn into tasks.
 
 Rule-4 tie-breaks use an injected ``random.Random`` seeded with
 ``"{seed}:{task_id}"``; string seeding hashes through SHA-512, so streams
-are reproducible across processes regardless of ``PYTHONHASHSEED``.
+are reproducible regardless of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.function import BooleanFunction
 from repro.boolean.unate import syntactic_unateness
 from repro.core.collapse import collapse_node
-from repro.core.identify import CheckStats, ThresholdChecker
+from repro.core.identify import ThresholdChecker
 from repro.core.splitting import UnateSplit, split_binate, split_k_way
 from repro.core.theorems import theorem2_extend
 from repro.core.threshold import (
@@ -34,7 +33,7 @@ from repro.core.threshold import (
     WeightThresholdVector,
 )
 from repro.engine.events import TaskMetrics, timed
-from repro.engine.store import StoreStats
+from repro.engine.tasks import TaskResult
 from repro.errors import SynthesisError
 from repro.lint.diagnostics import Severity
 from repro.lint.runner import lint_gates
@@ -42,19 +41,8 @@ from repro.network.network import BooleanNetwork
 
 
 def task_rng(seed: int, task_id: str) -> random.Random:
-    """The task's private RNG stream (deterministic across processes)."""
+    """The task's private RNG stream (independent of run order)."""
     return random.Random(f"{seed}:{task_id}")
-
-
-@dataclass
-class ConeOutcome:
-    """What one cone run produced (pre-TaskResult, executor-agnostic)."""
-
-    gates: tuple[ThresholdGate, ...]
-    discovered: tuple[str, ...]
-    metrics: TaskMetrics
-    stats_delta: CheckStats
-    store_stats_delta: "StoreStats | None" = None
 
 
 class ConeSynthesizer:
@@ -68,12 +56,10 @@ class ConeSynthesizer:
         checker: ThresholdChecker,
         preserved: frozenset[str],
         deadline=None,  # repro.engine.resilience.Deadline | None
-        fault_hook=None,  # chaos: called once per processed node (tests only)
     ):
         self.options = options
         self.root = root
         self.deadline = deadline
-        self.fault_hook = fault_hook
         # Shallow copy: functions are immutable and shared; only this task's
         # split parts are added, so the source stays pristine for siblings.
         self.work = source.copy()
@@ -94,10 +80,10 @@ class ConeSynthesizer:
         )
 
     # ------------------------------------------------------------------
-    def run(self) -> ConeOutcome:
-        # The checker is shared (serially) or task-private (in a worker);
-        # either way its deadline is scoped to this cone run and restored
-        # afterwards, so one cone's budget never leaks into the next.
+    def run(self) -> TaskResult:
+        # The checker is shared by every cone of the run; its deadline is
+        # scoped to this cone run and restored afterwards, so one cone's
+        # budget never leaks into the next.
         saved_deadline = self.checker.deadline
         self.checker.deadline = self.deadline
         try:
@@ -105,7 +91,7 @@ class ConeSynthesizer:
         finally:
             self.checker.deadline = saved_deadline
 
-    def _run(self) -> ConeOutcome:
+    def _run(self) -> TaskResult:
         run_started = time.perf_counter()
         stats_before = self.checker.stats.snapshot()
         store = self.checker.store
@@ -124,8 +110,6 @@ class ConeSynthesizer:
             self.metrics.nodes_processed += 1
             if self.deadline is not None:
                 self.deadline.check(f"cone {self.root!r}")
-            if self.fault_hook is not None:
-                self.fault_hook()
             with timed(self.metrics, "collapse_s"):
                 function = collapse_node(
                     self.work,
@@ -205,19 +189,17 @@ class ConeSynthesizer:
         self.metrics.scipy_wall_s = delta.scipy_wall_s
         self.metrics.presolve_rows_removed = delta.presolve_rows_removed
         self.metrics.solver_timeouts = delta.solver_timeouts
-        store_delta: StoreStats | None = None
         if store_before is not None and self.checker.store is not None:
             store_delta = self.checker.store.stats.since(store_before)
             self.metrics.persistent_hits = store_delta.persistent_hits
             self.metrics.persistent_misses = store_delta.persistent_misses
             self.metrics.transformed_hits = store_delta.transformed_hits
             self.metrics.transform_rejects = store_delta.transform_rejects
-        return ConeOutcome(
+        return TaskResult(
+            task_id=self.root,
             gates=tuple(self.gates),
             discovered=tuple(self._discovered),
             metrics=self.metrics,
-            stats_delta=delta,
-            store_stats_delta=store_delta,
         )
 
     # ------------------------------------------------------------------

@@ -67,7 +67,7 @@ class TaskMetrics:
     analysis_s: float = 0.0
     analysis_min_slack: int | None = None
     analysis_constant_gates: int = 0
-    #: Executor submissions this cone consumed (retries inflate this).
+    #: Runs this cone consumed (retries inflate this).
     attempts: int = 1
     #: True when the cone fell back to the one-to-one mapping.
     degraded: bool = False
@@ -171,8 +171,6 @@ class EngineTrace:
     """All task metrics of one engine run, plus run-level aggregates."""
 
     tasks: list[TaskMetrics] = field(default_factory=list)
-    jobs: int = 1
-    backend: str = "serial"
     #: Gate-model backend the run synthesized for (``repro.gates``).
     gate_model: str = "ltg"
     wall_s: float = 0.0
@@ -183,18 +181,8 @@ class EngineTrace:
     network_analysis_s: float = 0.0
     analysis_removals: int | None = None
     analysis_min_slack: int | None = None
-    #: Resilience telemetry (see docs/RESILIENCE.md).
+    #: Transient-error retries (see docs/RESILIENCE.md).
     retries: int = 0
-    requeues: int = 0
-    pool_rebuilds: int = 0
-    watchdog_kills: int = 0
-    #: Distributed-run telemetry (``remote`` backend; see remote.py).
-    lease_expirations: int = 0
-    remote_workers: int = 0
-    remote_fallback_tasks: int = 0
-    remote_fallback_reason: str | None = None
-    #: Task ids quarantined as poison after repeated worker crashes.
-    quarantined: list[str] = field(default_factory=list)
     #: ``(task_id, reason)`` per cone that fell back to one-to-one mapping.
     degraded: list[tuple[str, str]] = field(default_factory=list)
 
@@ -245,8 +233,7 @@ class EngineTrace:
     def summary_lines(self) -> list[str]:
         """Human-readable run summary for the CLI."""
         lines = [
-            f"engine: {self.num_tasks} tasks, backend={self.backend} "
-            f"jobs={self.jobs}, gate model {self.gate_model}, "
+            f"engine: {self.num_tasks} tasks, gate model {self.gate_model}, "
             f"wall {self.wall_s:.3f}s "
             f"(task time {self.total('wall_s'):.3f}s)",
             f"passes: collapse {self.total('collapse_s'):.3f}s  "
@@ -284,36 +271,15 @@ class EngineTrace:
                 f"{int(self.total('transformed_hits'))} NP-transformed, "
                 f"{int(self.total('transform_rejects'))} rejected"
             )
-        if (
-            self.degraded
-            or self.retries
-            or self.requeues
-            or self.pool_rebuilds
-            or self.watchdog_kills
-            or self.quarantined
-            or self.lease_expirations
-        ):
+        if self.degraded or self.retries:
             cones = ", ".join(
                 f"{task_id} ({reason})" for task_id, reason in self.degraded
             )
             lines.append(
                 f"degraded: {len(self.degraded)} cones"
                 + (f" [{cones}]" if cones else "")
-                + f", {self.retries} retries, {self.requeues} requeues, "
-                f"{self.pool_rebuilds} pool rebuilds, "
-                f"{self.watchdog_kills} watchdog kills, "
-                f"{len(self.quarantined)} quarantined"
+                + f", {self.retries} retries"
             )
-        if self.backend == "remote":
-            line = (
-                f"remote: {self.remote_workers} worker(s) seen, "
-                f"{self.lease_expirations} expired leases, "
-                f"{self.remote_fallback_tasks} cones ran on the local "
-                f"fallback"
-            )
-            if self.remote_fallback_reason:
-                line += f" ({self.remote_fallback_reason})"
-            lines.append(line)
         if self.network_lint_violations is not None:
             lines.append(
                 f"lint: {int(self.total('lint_violations'))} cone "

@@ -1,17 +1,14 @@
 """Resilience primitives for the synthesis engine.
 
-Three concerns live here, all consumed by the scheduler and executors:
+Three concerns live here, all consumed by the scheduler:
 
 * **Deadlines** — :class:`Deadline` is a monotonic budget checked
   cooperatively inside the cone loop and the threshold checker (which also
-  forwards the remaining time to the ILP backends as a solver time limit);
-  the process executor additionally enforces it from the outside with a
-  watchdog for workers that stop reaching cooperative checkpoints.
+  forwards the remaining time to the ILP backends as a solver time limit).
 
-* **Failure classification** — :class:`TaskFailure` is the executor's
-  structured "this dispatch did not produce a result" record; the
-  scheduler maps its ``kind`` to a policy action (retry with backoff,
-  quarantine, degrade).
+* **Policy** — :class:`ResiliencePolicy` holds the scheduler's knobs: a
+  cone whose deadline expires degrades at once, and a cone raising a
+  transient error retries with backoff until ``max_attempts``.
 
 * **Graceful degradation** — :func:`fallback_cone_gates` realizes one cone
   with the paper's one-to-one mapping baseline (Section VI-A): extract the
@@ -70,25 +67,6 @@ class Deadline:
 
 
 @dataclass(frozen=True)
-class TaskFailure:
-    """One dispatch of a task that ended without a result.
-
-    ``kind`` drives the scheduler's policy response:
-
-    * ``"crash"``   — the worker process died (counts toward quarantine);
-    * ``"timeout"`` — the per-cone deadline expired (degrade immediately);
-    * ``"error"``   — a transient error worth retrying with backoff;
-    * ``"evicted"`` — an innocent in-flight task lost its pool to another
-      task's crash or watchdog kill (requeue, no penalty).
-    """
-
-    task_id: str
-    kind: str
-    message: str = ""
-    attempt: int = 1
-
-
-@dataclass(frozen=True)
 class DegradedCone:
     """One cone that fell back to the one-to-one mapping, and why."""
 
@@ -100,14 +78,12 @@ class DegradedCone:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """The scheduler's knobs for deadlines, retries, and quarantine."""
+    """The scheduler's knobs for deadlines and retries."""
 
     deadline_per_cone_s: float | None = None
     deadline_total_s: float | None = None
     max_attempts: int = 3
-    poison_crashes: int = 3
     strict: bool = False
-    watchdog_grace_s: float = 2.0
     retry: RetryPolicy = RetryPolicy()
 
     @classmethod
@@ -117,9 +93,7 @@ class ResiliencePolicy:
             deadline_per_cone_s=getattr(options, "deadline_per_cone_s", None),
             deadline_total_s=getattr(options, "deadline_total_s", None),
             max_attempts=getattr(options, "max_attempts", 3),
-            poison_crashes=getattr(options, "poison_crashes", 3),
             strict=getattr(options, "strict_synthesis", False),
-            watchdog_grace_s=getattr(options, "watchdog_grace_s", 2.0),
             retry=RetryPolicy(
                 max_attempts=getattr(options, "max_attempts", 3),
                 base_backoff_s=getattr(options, "retry_backoff_s", 0.05),
@@ -127,10 +101,6 @@ class ResiliencePolicy:
                 seed=getattr(options, "seed", 0),
             ),
         )
-
-    @property
-    def watchdog_needed(self) -> bool:
-        return self.deadline_per_cone_s is not None
 
 
 def cone_subnetwork(

@@ -1,21 +1,17 @@
 """The work-queue scheduler driving the pass-based synthesis engine.
 
-``run_synthesis`` plans one task per primary-output cone, dispatches ready
-tasks to the executor backend, and turns every newly *discovered* root (a
+``run_synthesis`` plans one task per primary-output cone, runs the queued
+tasks one at a time in-process, and turns every newly *discovered* root (a
 preserved or collapse-blocked node some finished cone's gates read) into a
 new task exactly once.  When the queue drains, the per-task gate lists are
 merged into one :class:`ThresholdNetwork` by a deterministic DFS over the
 task graph — primary outputs in declaration order, then each task's
-discovered roots in discovery order — so the executor's completion order
-(and hence the jobs count) never changes the emitted network.
+discovered roots in discovery order.
 
 The scheduler is also where the resilience policy is applied (see
-docs/RESILIENCE.md).  Executors report structured
-:class:`~repro.engine.resilience.TaskFailure` records alongside results;
-the policy response is: crashes requeue with backoff until the quarantine
-threshold, transient errors retry up to ``max_attempts``, deadline
-expiries degrade immediately, and evicted tasks requeue for free.  A
-degraded cone is realized with the paper's one-to-one mapping
+docs/RESILIENCE.md): transient errors retry with backoff up to
+``max_attempts``, and deadline expiries degrade immediately.  A degraded
+cone is realized with the paper's one-to-one mapping
 (:func:`~repro.engine.resilience.fallback_cone_gates`), so
 ``run_synthesis`` always returns a complete, simulation-equivalent,
 lint-clean network — unless ``strict_synthesis`` turns degradation into a
@@ -25,17 +21,17 @@ lint-clean network — unless ``strict_synthesis`` turns degradation into a
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.identify import ThresholdChecker
 from repro.core.threshold import ThresholdNetwork
+from repro.engine.cone import ConeSynthesizer
 from repro.engine.events import EngineTrace, TaskMetrics
-from repro.engine.executor import make_executor, resolve_jobs
 from repro.engine.resilience import (
     Deadline,
     DegradedCone,
     ResiliencePolicy,
-    TaskFailure,
     fallback_cone_gates,
 )
 from repro.engine.store import ResultStore
@@ -45,7 +41,12 @@ from repro.engine.tasks import (
     plan_initial_tasks,
     preserved_set,
 )
-from repro.errors import SynthesisCancelled, SynthesisError
+from repro.errors import (
+    DeadlineExceeded,
+    SynthesisCancelled,
+    SynthesisError,
+    TransientError,
+)
 from repro.faults.injector import get_injector
 from repro.network.network import BooleanNetwork
 
@@ -63,19 +64,16 @@ class EngineResult:
 def run_synthesis(
     network: BooleanNetwork,
     options=None,
-    jobs: int = 1,
     store: ResultStore | None = None,
     cache_dir: str | None = None,
     on_event=None,
     cancel=None,
-    distribute: str | None = None,
 ) -> EngineResult:
     """Synthesize ``network`` with the pass-based engine.
 
     Args:
         network: a prepared (ideally algebraically-factored) Boolean network.
         options: :class:`repro.core.synthesis.SynthesisOptions`.
-        jobs: worker processes; 1 runs inline, 0/None uses every core.
         store: a shared :class:`ResultStore` to read and extend — pass the
             same store across sweep points to re-solve only what changed.
         cache_dir: directory of the persistent NP-canonical cache; ignored
@@ -90,19 +88,12 @@ def run_synthesis(
             (``repro.serve``) taps this for live job streaming.
         cancel: optional cooperative cancellation flag (anything with an
             ``is_set()`` method, e.g. :class:`threading.Event`).  The flag
-            is checked between cones; when observed set the executor is
-            closed — in-flight cones are cancelled, pool workers reaped —
-            and :class:`~repro.errors.SynthesisCancelled` is raised.
-        distribute: URL of a ``tels serve`` daemon; cones are farmed to
-            ``tels worker`` processes through its work broker instead of
-            a local pool (see :mod:`repro.engine.remote`).  On total
-            worker loss the run degrades to a local executor sized by
-            ``jobs`` and still completes with identical output.
+            is checked between cones; when observed set,
+            :class:`~repro.errors.SynthesisCancelled` is raised.
     """
-    from repro.core.synthesis import SynthesisOptions, SynthesisReport
+    from repro.core.synthesis import SynthesisOptions
 
     options = options or SynthesisOptions()
-    jobs = resolve_jobs(jobs)
     if store is None:
         store = (
             ResultStore.with_cache_dir(cache_dir)
@@ -119,18 +110,11 @@ def run_synthesis(
     get_injector()
 
     started = time.perf_counter()
-    executor = make_executor(
-        jobs, network, options, preserved, store, checker, policy,
-        distribute=distribute,
-    )
-    trace = EngineTrace(
-        jobs=jobs,
-        backend=executor.backend_name,
-        gate_model=getattr(options, "gate_model", "ltg"),
-    )
+    trace = EngineTrace(gate_model=getattr(options, "gate_model", "ltg"))
     tasks: dict[str, SynthTask] = {}
     results: dict[str, TaskResult] = {}
-    crashes: dict[str, int] = {}
+    #: FIFO of (task, attempt): retries and discovered roots join the back.
+    queue: deque[tuple[SynthTask, int]] = deque()
     degraded_records: list[DegradedCone] = []
     listener = on_event
 
@@ -166,14 +150,12 @@ def run_synthesis(
                 "scheduled": len(tasks),
             }
         )
-        if result.store_delta is not None:
-            store.merge(result.store_delta)
         for root in result.discovered:
             if root not in tasks:
                 task = SynthTask.for_root(root, requested_by=result.task_id)
                 tasks[task.task_id] = task
                 if submit_new:
-                    executor.submit(task)
+                    queue.append((task, 1))
 
     def _degrade(
         task_id: str,
@@ -215,53 +197,37 @@ def run_synthesis(
             submit_new=submit_new,
         )
 
-    def _handle_failure(failure: TaskFailure) -> None:
-        task_id = failure.task_id
-        if task_id in results:
-            return  # resolved while the failure was in flight
-        if failure.kind == "evicted":
-            # Innocent bystander of a pool teardown: requeue, no penalty.
-            trace.requeues += 1
-            executor.submit(tasks[task_id], failure.attempt)
-        elif failure.kind == "crash":
-            crashes[task_id] = crashes.get(task_id, 0) + 1
-            if crashes[task_id] >= policy.poison_crashes:
-                trace.quarantined.append(task_id)
-                _degrade(
-                    task_id, "quarantined", failure.attempt, failure.message
-                )
-            else:
-                trace.requeues += 1
-                time.sleep(
-                    policy.retry.backoff_s(failure.attempt, key=task_id)
-                )
-                executor.submit(tasks[task_id], failure.attempt + 1)
-        elif failure.kind == "timeout":
-            _degrade(task_id, "deadline", failure.attempt, failure.message)
-        else:  # "error": transient, retry with backoff until exhausted
-            if failure.attempt >= policy.max_attempts:
-                _degrade(
-                    task_id,
-                    "retry-exhausted",
-                    failure.attempt,
-                    failure.message,
-                )
+    def _run_task(task: SynthTask, attempt: int) -> None:
+        """One cone run; a failure retries, degrades, or propagates."""
+        try:
+            result = ConeSynthesizer(
+                network,
+                task.root,
+                options,
+                checker,
+                preserved,
+                deadline=Deadline.after(policy.deadline_per_cone_s),
+            ).run()
+        except DeadlineExceeded as exc:
+            _degrade(task.task_id, "deadline", attempt, str(exc))
+        except TransientError as exc:
+            if attempt >= policy.max_attempts:
+                _degrade(task.task_id, "retry-exhausted", attempt, str(exc))
             else:
                 trace.retries += 1
-                time.sleep(
-                    policy.retry.backoff_s(failure.attempt, key=task_id)
-                )
-                executor.submit(tasks[task_id], failure.attempt + 1)
+                time.sleep(policy.retry.backoff_s(attempt, key=task.task_id))
+                queue.append((task, attempt + 1))
+        else:
+            result.attempts = result.metrics.attempts = attempt
+            _register(result)
 
     try:
         for task in initial:
             tasks[task.task_id] = task
-            executor.submit(task)
-        while len(results) < len(tasks):
+            queue.append((task, 1))
+        while queue:
             if cancel is not None and cancel.is_set():
-                # Cooperative cancellation: observed only between cones, so
-                # the executor teardown in the ``finally`` below reaps every
-                # pool worker and nothing is left running detached.
+                # Cooperative cancellation, observed only between cones.
                 raise SynthesisCancelled(
                     f"cancelled with {len(tasks) - len(results)} of "
                     f"{len(tasks)} cones unfinished"
@@ -270,6 +236,7 @@ def run_synthesis(
                 # Whole-run budget exhausted: every unfinished cone —
                 # including roots the fallbacks themselves discover —
                 # degrades to the one-to-one mapping.
+                queue.clear()
                 while len(results) < len(tasks):
                     for task_id in list(tasks):
                         if task_id not in results:
@@ -280,37 +247,22 @@ def run_synthesis(
                                 submit_new=False,
                             )
                 break
-            wave, failures = executor.wait()
-            for result in wave:
-                if result.task_id not in results:
-                    _register(result)
-            for failure in failures:
-                _handle_failure(failure)
+            _run_task(*queue.popleft())
     except SynthesisCancelled:
         # A cancelled run still banks its work: everything solved so far
         # goes to the persistent tier for the next submission to reuse.
         store.flush_persistent()
         raise
-    finally:
-        executor.close()
     trace.wall_s = time.perf_counter() - started
-    trace.pool_rebuilds = getattr(executor, "rebuilds", 0)
-    trace.watchdog_kills = getattr(executor, "watchdog_kills", 0)
-    trace.lease_expirations = getattr(executor, "lease_expirations", 0)
-    trace.remote_workers = getattr(executor, "remote_workers", 0)
-    trace.remote_fallback_tasks = getattr(executor, "fallback_tasks", 0)
-    trace.remote_fallback_reason = getattr(executor, "fallback_reason", None)
     store.flush_persistent()
 
     result_net = _assemble(network, initial, results)
-    report = _build_report(options, checker, trace, results, store)
+    report = _build_report(options, checker, trace, results)
     report.degraded_cones = len(degraded_records)
     report.degraded = tuple(degraded_records)
     if getattr(options, "lint", True):
         # Static post-pass over the assembled network: the structural rules
-        # (cycles, dangling fanins, reachability) only make sense here, and
-        # the gate-level semantic rules re-run so serial and process-pool
-        # runs report through one code path.
+        # (cycles, dangling fanins, reachability) only make sense here.
         from repro.lint.diagnostics import LintOptions
         from repro.lint.runner import run_lint
 
@@ -379,7 +331,6 @@ def _build_report(
     checker: ThresholdChecker,
     trace: EngineTrace,
     results: dict[str, TaskResult],
-    store: ResultStore,
 ):
     """Aggregate per-task metrics into the façade's SynthesisReport."""
     from repro.core.synthesis import SynthesisReport
@@ -394,13 +345,4 @@ def _build_report(
         report.kway_splits += m.kway_splits
         report.theorem2_applications += m.theorem2_applications
         report.and_factor_splits += m.and_factor_splits
-    if trace.backend != "serial":
-        # Worker checkers did the work; fold their per-task stat deltas into
-        # the parent checker (and store) so report.checker.stats and
-        # store.stats read the same either way.  Serial runs share the
-        # master store, so their counts are already in place.
-        for result in results.values():
-            checker.stats.add(result.stats_delta)
-            if result.store_stats_delta is not None:
-                store.stats.add(result.store_stats_delta)
     return report

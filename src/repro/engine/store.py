@@ -13,23 +13,23 @@ runs, and experiment sweeps:
 * **vector tier** (delta-dependent): (canonical cover, δ_on, δ_off, w_max) →
   the solved weight–threshold vector, or ``None`` for ILP-infeasible.
 
-Process-pool workers keep their own store and journal every new entry; the
-scheduler merges the journals back into the master store so later tasks,
-runs, and sweep points see them.
+One store serves every cone of a run, and callers may pass the same store
+to later runs and sweep points (the daemon shares one across its job
+threads).
 
 A third, *persistent* tier (:class:`repro.cache.store.PersistentCache`) can
 be layered underneath: a vector-tier miss is retried against the on-disk
 cache under the cover's NP-semi-canonical signature, and a hit is mapped
 back through the recorded permutation/negation transform — then re-verified
 against the cover's ON/OFF sets before being trusted.  Every newly solved
-vector (including merged worker journals) is committed back to the
-persistent journal; :meth:`ResultStore.flush_persistent` writes it out.
+vector is committed back to the persistent journal;
+:meth:`ResultStore.flush_persistent` writes it out.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.boolean.cover import Cover
 from repro.core.threshold import GateVector
@@ -60,7 +60,7 @@ class StoreStats:
     All fields are additive counters, so :meth:`snapshot`, :meth:`since`,
     and :meth:`add` are derived generically over the dataclass fields — a
     new counter only needs a declaration here to travel through per-task
-    deltas and process-pool merges without double counting.
+    deltas.
 
     Vector-tier semantics: ``vector_hits`` counts every *served* lookup
     (whichever tier answered); the ``persistent_*`` counters break out the
@@ -124,20 +124,9 @@ class StoreStats:
         )
 
     def add(self, delta: "StoreStats") -> None:
-        """Fold another stats record (e.g. a worker's delta) into this one."""
+        """Fold another stats record (e.g. one suite row's) into this one."""
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(delta, f.name))
-
-
-@dataclass
-class StoreDelta:
-    """New entries journaled since :meth:`ResultStore.begin_journal`."""
-
-    vectors: dict[tuple, GateVector | None] = field(default_factory=dict)
-    analyses: dict[tuple, CoverAnalysis | None] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.vectors) + len(self.analyses)
 
 
 class ResultStore:
@@ -146,20 +135,19 @@ class ResultStore:
     ``persistent`` optionally layers a
     :class:`repro.cache.store.PersistentCache` under the vector tier: misses
     are retried on disk under the cover's NP-canonical signature, and every
-    new solve (local or merged from a worker journal) is committed back.
+    new solve is committed back.
     """
 
     def __init__(self, persistent=None) -> None:
         self._vectors: dict[tuple, GateVector | None] = {}
         self._analyses: dict[tuple, CoverAnalysis | None] = {}
         self.stats = StoreStats()
-        self._journal: StoreDelta | None = None
         self.persistent = persistent
         self._canonical_memo: dict[tuple, tuple] = {}
-        # Serializes multi-step mutations (persistent lookups/installs,
-        # journal merges, snapshots) when the daemon's job threads share
-        # one store.  Plain dict reads stay lock-free: they are GIL-atomic
-        # and the entries are immutable once installed.
+        # Serializes multi-step mutations (persistent lookups/installs)
+        # when the daemon's job threads share one store.  Plain dict reads
+        # stay lock-free: they are GIL-atomic and the entries are immutable
+        # once installed.
         self._lock = threading.RLock()
 
     @classmethod
@@ -182,8 +170,6 @@ class ResultStore:
                 if found is not _MISSING:
                     self.stats.vector_hits += 1
                     self._vectors[key] = found
-                    if self._journal is not None:
-                        self._journal.vectors[key] = found
                     return found
         self.stats.vector_misses += 1
         return _MISSING
@@ -191,8 +177,6 @@ class ResultStore:
     def put_vector(self, key: tuple, vector: GateVector | None) -> None:
         with self._lock:
             self._vectors[key] = vector
-            if self._journal is not None:
-                self._journal.vectors[key] = vector
             if self.persistent is not None:
                 self._persistent_put(key, vector)
 
@@ -292,7 +276,7 @@ class ResultStore:
         from repro.cache.store import entry_key, signature_string
 
         if getattr(self.persistent, "read_only", False):
-            return  # worker-side snapshot: deltas travel via the journal
+            return  # a read-only cache serves lookups but takes no writes
         parts = self._split_key(key)
         if parts is None:
             return
@@ -336,49 +320,10 @@ class ResultStore:
     def put_analysis(self, key: tuple, analysis: CoverAnalysis | None) -> None:
         with self._lock:
             self._analyses[key] = analysis
-            if self._journal is not None:
-                self._journal.analyses[key] = analysis
 
     @staticmethod
     def is_miss(value) -> bool:
         return value is _MISSING
-
-    # -- sharing -------------------------------------------------------
-    def begin_journal(self) -> None:
-        """Start recording new entries (process-pool workers)."""
-        self._journal = StoreDelta()
-
-    def take_journal(self) -> StoreDelta:
-        """Return the entries recorded since :meth:`begin_journal`."""
-        delta = self._journal or StoreDelta()
-        self._journal = StoreDelta()
-        return delta
-
-    def merge(self, delta: StoreDelta) -> int:
-        """Fold a worker's journal into this store; returns entries added.
-
-        Newly merged vectors are also committed to the persistent journal —
-        this is how process-pool solves reach the on-disk cache, since
-        workers hold read-only cache snapshots.
-        """
-        added = 0
-        with self._lock:
-            for key, vector in delta.vectors.items():
-                if key not in self._vectors:
-                    self._vectors[key] = vector
-                    added += 1
-                    if self.persistent is not None:
-                        self._persistent_put(key, vector)
-            for key, analysis in delta.analyses.items():
-                if key not in self._analyses:
-                    self._analyses[key] = analysis
-                    added += 1
-        return added
-
-    def export(self) -> StoreDelta:
-        """A full snapshot, for seeding worker processes."""
-        with self._lock:
-            return StoreDelta(dict(self._vectors), dict(self._analyses))
 
     # -- introspection -------------------------------------------------
     @property

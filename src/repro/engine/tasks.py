@@ -5,24 +5,22 @@ synthesis into independent *cones*: one rooted at every primary-output node,
 one at every preserved fanout node, and one at every node collapsing had to
 stop at (a ψ- or cube-budget violation).  Each cone reads only the immutable
 source network — split parts it creates are task-local — so cones are the
-engine's unit of parallelism.
+engine's unit of work.
 
 Tasks are identified by their root name.  The id is the seed of the task's
 private ``random.Random`` stream and the key the scheduler orders results
-by, which is what makes serial and process-pool runs emit identical gate
-lists.  Dependencies are *discovered*, not declared up front: a finished
-task reports every work-network node its gates reference, and the scheduler
+by, so the emitted gate list never depends on the order cones ran in.
+Dependencies are *discovered*, not declared up front: a finished task
+reports every work-network node its gates reference, and the scheduler
 turns the unseen ones into new tasks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.identify import CheckStats
 from repro.core.threshold import ThresholdGate
 from repro.engine.events import TaskMetrics
-from repro.engine.store import StoreDelta, StoreStats
 from repro.network.network import BooleanNetwork
 
 
@@ -51,19 +49,15 @@ class TaskResult:
     """Everything a finished cone task hands back to the scheduler.
 
     ``degraded`` marks a cone that the resilience layer completed with the
-    paper's one-to-one fallback mapping (after a deadline, quarantine, or
-    retry exhaustion) rather than full TELS synthesis; ``attempts`` is how
-    many executor submissions the cone consumed, so the trace can report
-    retry pressure.
+    paper's one-to-one fallback mapping (after a deadline or retry
+    exhaustion) rather than full TELS synthesis; ``attempts`` is how many
+    runs the cone consumed, so the trace can report retry pressure.
     """
 
     task_id: str
     gates: tuple[ThresholdGate, ...]
     discovered: tuple[str, ...]
     metrics: TaskMetrics
-    stats_delta: CheckStats = field(default_factory=CheckStats)
-    store_delta: StoreDelta | None = None
-    store_stats_delta: StoreStats | None = None
     degraded: bool = False
     attempts: int = 1
 

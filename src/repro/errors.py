@@ -57,9 +57,9 @@ class DeadlineExceeded(ReproError):
 class SynthesisCancelled(ReproError):
     """Raised when a run's cooperative cancellation flag is observed set.
 
-    The scheduler checks the flag between cones, so cancellation always
-    leaves the executor cleanly closed — no orphaned pool workers — and
-    every already-solved vector is still flushed to the persistent cache.
+    The scheduler checks the flag between cones, so cancellation never
+    interrupts a cone mid-way, and every already-solved vector is still
+    flushed to the persistent cache.
     """
 
 

@@ -9,6 +9,7 @@ wins / ties / loses, and worst cases.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from repro.benchgen.extended import build_extended_benchmark
@@ -163,6 +164,13 @@ def _run_one(
     )
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` request (None/0 → all cores)."""
+    if jobs is None or jobs <= 0:
+        return os.cpu_count() or 1
+    return jobs
+
+
 def run_suite(
     names: list[str],
     psi: int = 3,
@@ -184,8 +192,6 @@ def run_suite(
     ``gate_model`` selects the :mod:`repro.gates` backend the TELS flow
     synthesizes for (the one-to-one baseline always maps to plain LTGs).
     """
-    from repro.engine.executor import resolve_jobs
-
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(names) <= 1:
         rows = [

@@ -84,13 +84,12 @@ def run_flows(
     delta_off: int = 1,
     seed: int = 0,
     verify_vectors: int = 1024,
-    jobs: int = 1,
     store=None,
 ) -> FlowResult:
     """Run (or fetch cached) one-to-one and TELS flows for one benchmark.
 
-    ``jobs`` and ``store`` pass straight to the synthesis engine; neither
-    changes the emitted network, so they are not part of the cache key.
+    ``store`` passes straight to the synthesis engine; it does not change
+    the emitted network, so it is not part of the cache key.
     """
     key = (name, psi, delta_on, delta_off, seed)
     if key in _CACHE:
@@ -112,7 +111,6 @@ def run_flows(
         SynthesisOptions(
             psi=psi, delta_on=delta_on, delta_off=delta_off, seed=seed
         ),
-        jobs=jobs,
         store=store,
     )
     if report.lint is not None and report.lint.violations:

@@ -291,8 +291,7 @@ def _engine_section() -> str:
         "The synthesis engine runs one task per preserved cone and records",
         "structured per-task events; `comp` at ψ = 3:",
         "",
-        f"* {len(trace.tasks)} cone tasks, backend `{trace.backend}`, "
-        f"wall {trace.wall_s:.2f}s;",
+        f"* {len(trace.tasks)} cone tasks, wall {trace.wall_s:.2f}s;",
         f"* pass time: collapse {trace.total('collapse_s'):.2f}s, "
         f"check {trace.total('check_s'):.2f}s, "
         f"split {trace.total('split_s'):.2f}s;",
@@ -321,9 +320,10 @@ def _engine_section() -> str:
     out += [
         "",
         f"**Measured:** {reused} analyses reused after the first point;",
-        "regenerate with `tels sweep`.  Parallel execution (`--jobs N`)",
-        "distributes cones over a process pool and is bit-identical to the",
-        "serial schedule (`tests/engine/test_engine.py`).",
+        "regenerate with `tels sweep`.  Cones run serially in-process;",
+        "`tels suite --jobs N` runs whole circuits in parallel, with rows",
+        "identical to a serial suite",
+        "(`tests/integration/test_extended_suite_unit.py`).",
     ]
     return "\n".join(out)
 

@@ -51,7 +51,6 @@ def run_delta_sweep(
     delta_off: int = 1,
     psi: int = 3,
     seed: int = 0,
-    jobs: int = 1,
     store: ResultStore | None = None,
     verify_vectors: int = 512,
     cache_dir: str | None = None,
@@ -88,7 +87,6 @@ def run_delta_sweep(
                     seed=seed,
                     gate_model=gate_model,
                 ),
-                jobs=jobs,
                 store=store,
             )
             if not verify_threshold_network(

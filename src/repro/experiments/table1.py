@@ -52,14 +52,13 @@ def run_table1(
     names: list[str] | None = None,
     psi: int = 3,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[Table1Row]:
     """Regenerate Table I (both flows on every benchmark, ψ = ``psi``)."""
     if names is None:
         names = benchmark_names()
     rows = []
     for name in names:
-        flow = run_flows(name, psi=psi, seed=seed, jobs=jobs)
+        flow = run_flows(name, psi=psi, seed=seed)
         paper_oto, paper_tels = PAPER_TABLE1.get(name, ((0, 0, 0), (0, 0, 0)))
         rows.append(Table1Row(flow, paper_oto, paper_tels))
     return rows

@@ -2,37 +2,23 @@
 
 Faults are enabled through the ``TELS_CHAOS`` environment variable::
 
-    TELS_CHAOS="worker=0.15,solver=0.15,solver-wrong=0.1,cache=0.1:42"
+    TELS_CHAOS="solver=0.15,solver-wrong=0.1,cache=0.1:42"
 
 i.e. a comma-separated list of ``site=rate`` pairs followed by an optional
 ``:seed`` (default 0).  Sites:
 
-* ``worker``       — a pool worker calls ``os._exit(1)`` mid-cone;
-* ``stall``        — a pool worker sleeps long enough to trip the watchdog;
 * ``solver``       — the float (scipy) solver attempt reports a timeout;
 * ``solver-wrong`` — the float solver attempt returns a wrong status/point;
 * ``cache``        — a persistent-cache write raises ``OSError``;
 * ``cache-corrupt``— a torn garbage line is appended after a cache flush.
 
-Network sites (the HTTP transport of the distributed layer; see
-docs/RESILIENCE.md "Distributed failure modes"):
-
-* ``net-refuse``     — the request fails before any bytes are sent
-  (connection refused);
-* ``net-disconnect`` — the connection drops after the request was sent
-  (mid-body disconnect: the server may or may not have acted on it);
-* ``net-latency``    — a deterministic latency spike before the request;
-* ``net-corrupt``    — a network-cache payload arrives corrupted (the
-  verify-before-trust path must reject it);
-* ``net-dup``        — a successful POST is delivered twice (the broker's
-  idempotency must absorb the duplicate).
-
 Every decision is *content-keyed*: ``decide(site, key)`` draws from
 ``random.Random(f"{seed}|{site}|{key}")``, and string seeding hashes
 through SHA-512, so the same (seed, site, key) triple decides the same way
-in every process, under any ``PYTHONHASHSEED``, and regardless of
-execution order.  That is what makes chaos runs reproducible and lets the
-tests assert exact recovery behaviour per seed.
+in every process (``tels suite --jobs`` runs circuits in child processes),
+under any ``PYTHONHASHSEED``, and regardless of execution order.  That is
+what makes chaos runs reproducible and lets the tests assert exact recovery
+behaviour per seed.
 
 Injection is only ever *additive* noise on recoverable paths — the exact
 ILP backend, the verification chain, and the one-to-one degradation target
@@ -53,29 +39,7 @@ CHAOS_ENV = "TELS_CHAOS"
 
 #: Every site the harness knows; unknown sites in a spec are an error so a
 #: typo cannot silently disable a whole chaos campaign.
-KNOWN_SITES = frozenset(
-    {
-        "worker",
-        "stall",
-        "solver",
-        "solver-wrong",
-        "cache",
-        "cache-corrupt",
-        "net-refuse",
-        "net-disconnect",
-        "net-latency",
-        "net-corrupt",
-        "net-dup",
-    }
-)
-
-#: How long a ``stall`` fault sleeps — far beyond any per-cone deadline a
-#: test would configure, so the watchdog (not luck) ends the task.
-STALL_SECONDS = 30.0
-
-#: How long a ``net-latency`` spike delays one request — long enough to be
-#: visible in traces, short enough that chaos campaigns stay fast.
-NET_LATENCY_SECONDS = 0.05
+KNOWN_SITES = frozenset({"solver", "solver-wrong", "cache", "cache-corrupt"})
 
 
 @dataclass(frozen=True)
@@ -149,7 +113,7 @@ class FaultInjector:
         """Should the fault at ``site`` fire for this ``key``?
 
         The decision is a pure function of (spec seed, site, key) — repeat
-        calls agree, and so do calls from different worker processes.
+        calls agree, and so do calls from different processes.
         """
         rate = self.spec.rate(site)
         if rate <= 0.0:
@@ -170,7 +134,7 @@ class FaultInjector:
 
 # One injector per observed env value, so the fault counters persist across
 # calls within a process but a changed/cleared variable (tests monkeypatch
-# it) takes effect immediately.  Workers inherit the variable at spawn, so
+# it) takes effect immediately.  Child processes inherit the variable, so
 # they build their own injector with the same spec — and, because decisions
 # are content-keyed, the same decisions.
 _cached: tuple[str, FaultInjector] | None = None

@@ -14,15 +14,7 @@ Routes (all JSON unless noted):
 ``DELETE /jobs/{id}``        cooperative cancellation
 ``GET    /healthz``          liveness (always 200 while serving) + fault counters
 ``GET    /stats``            queue depth, job counts, store/cache hit rates,
-                             resilience and work-broker counters
-``GET    /cache/{key}``      network cache tier: one NP-canonical entry
-                             (ETag = content hash; 412 on fingerprint skew)
-``PUT    /cache/{key}``      publish one solved entry into the shared tier
-``POST   /work/sessions``    open a distribution session (opaque payload)
-``POST   /work/claim``       worker: lease a batch of queued cone tasks
-``POST   /work/heartbeat``   worker: renew liveness + every held lease
-``...    /work/sessions/{id}/...``  payload / tasks / results / collect /
-                             withdraw / DELETE — see :mod:`repro.serve.broker`
+                             resilience counters
 ===========================  =====================================================
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
@@ -39,7 +31,6 @@ import contextlib
 import json
 import logging
 import threading
-import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serve.jobs import JobManager
@@ -76,18 +67,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload, indent=2).encode() + b"\n"
         self._send_bytes(status, body, "application/json")
 
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
+    def _send_bytes(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -145,12 +128,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         if method == "GET" and parts == ["stats"]:
             self._send_json(200, self.manager.stats())
             return
-        if parts and parts[0] == "cache" and len(parts) == 2:
-            self._dispatch_cache(method, parts[1], query)
-            return
-        if parts and parts[0] == "work":
-            if self._dispatch_work(method, parts[1:]):
-                return
         if parts and parts[0] == "jobs":
             if method == "POST" and len(parts) == 1:
                 job = self.manager.submit(self._read_body())
@@ -185,103 +162,6 @@ class ServeHandler(BaseHTTPRequestHandler):
             f"no route for {method} /{'/'.join(parts)}",
             code="not-found",
         )
-
-    # -- network cache tier --------------------------------------------
-    def _dispatch_cache(
-        self, method: str, raw_key: str, query: dict[str, str]
-    ) -> None:
-        key = urllib.parse.unquote(raw_key)
-        fingerprint = urllib.parse.unquote(query.get("fp", ""))
-        if method == "GET":
-            payload, etag = self.manager.cache_get(key, fingerprint)
-            body = json.dumps(payload, indent=2).encode() + b"\n"
-            self._send_bytes(
-                200, body, "application/json", extra_headers={"ETag": etag}
-            )
-            return
-        if method == "PUT":
-            body = self._read_body()
-            self._send_json(
-                200,
-                self.manager.cache_put(key, fingerprint, body.get("values")),
-            )
-            return
-        raise ApiError(
-            404, f"no route for {method} /cache/...", code="not-found"
-        )
-
-    # -- work broker ---------------------------------------------------
-    def _dispatch_work(self, method: str, parts: list[str]) -> bool:
-        """Route ``/work/...``; returns False to fall through to a 404."""
-        broker = self.manager.broker
-        if method == "POST" and parts == ["sessions"]:
-            body = self._read_body()
-            payload = body.get("payload")
-            if not isinstance(payload, str):
-                raise ApiError(400, "a base64 'payload' field is required")
-            self._send_json(
-                201, broker.create_session(payload, body.get("meta"))
-            )
-            return True
-        if method == "POST" and parts == ["claim"]:
-            body = self._read_body()
-            self._send_json(
-                200,
-                broker.claim(
-                    self._worker_id(body), int(body.get("max_tasks", 4))
-                ),
-            )
-            return True
-        if method == "POST" and parts == ["heartbeat"]:
-            body = self._read_body()
-            self._send_json(200, broker.heartbeat(self._worker_id(body)))
-            return True
-        if len(parts) >= 2 and parts[0] == "sessions":
-            session_id = parts[1]
-            if method == "DELETE" and len(parts) == 2:
-                self._send_json(200, broker.close(session_id))
-                return True
-            if method == "GET" and parts[2:] == ["payload"]:
-                payload, etag = broker.payload(session_id)
-                self._send_bytes(
-                    200,
-                    payload,
-                    "application/octet-stream",
-                    extra_headers={"ETag": etag},
-                )
-                return True
-            if method == "POST" and parts[2:] == ["tasks"]:
-                body = self._read_body()
-                tasks = body.get("tasks")
-                if not isinstance(tasks, list):
-                    raise ApiError(400, "a 'tasks' list is required")
-                self._send_json(200, broker.enqueue(session_id, tasks))
-                return True
-            if method == "POST" and parts[2:] == ["results"]:
-                body = self._read_body()
-                self._send_json(
-                    200,
-                    broker.post_results(
-                        session_id,
-                        self._worker_id(body),
-                        body.get("results") or [],
-                        body.get("failures") or [],
-                    ),
-                )
-                return True
-            if method == "POST" and parts[2:] == ["collect"]:
-                self._send_json(200, broker.collect(session_id))
-                return True
-            if method == "POST" and parts[2:] == ["withdraw"]:
-                self._send_json(200, broker.withdraw(session_id))
-                return True
-        return False
-
-    @staticmethod
-    def _worker_id(body: dict) -> str:
-        from repro.serve.schemas import validate_work_id
-
-        return validate_work_id(body.get("worker"), "worker")
 
     # -- results -------------------------------------------------------
     def _send_result(self, job, fmt: str) -> None:
@@ -348,9 +228,6 @@ class ServeHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802
         self._route("DELETE")
 
-    def do_PUT(self) -> None:  # noqa: N802
-        self._route("PUT")
-
 
 class ServeApp:
     """The composed daemon: job manager + threading HTTP server.
@@ -368,14 +245,12 @@ class ServeApp:
         journal_dir: str | None = None,
         max_workers: int = 2,
         queue_limit: int = 256,
-        lease_s: float | None = None,
     ):
         self.manager = JobManager(
             cache_dir=cache_dir,
             journal_dir=journal_dir,
             max_workers=max_workers,
             queue_limit=queue_limit,
-            lease_s=lease_s,
         )
         self.httpd = ThreadingHTTPServer((host, port), ServeHandler)
         self.httpd.daemon_threads = True

@@ -7,12 +7,12 @@ back as :class:`ServeClientError` carrying the daemon's structured payload
 can distinguish a 400 (bad circuit) from a 404 (unknown job) from a 503
 (queue full) without parsing prose.
 
-Requests ride the shared :class:`~repro.serve.transport.HttpTransport`:
-every call has a connect/read timeout and a bounded deterministic
+Every request has a connect/read timeout and a bounded deterministic
 retry-with-backoff schedule (:mod:`repro.faults.retry`), so a hung or
 briefly unreachable daemon costs a few seconds, never a hung ``tels
-submit``.  Retries only fire on transport failures — a non-2xx response is
-an answer and surfaces immediately.
+submit``.  Retries only fire when the daemon cannot be reached — a non-2xx
+response is an answer and surfaces immediately.  A submission whose reply
+is lost in flight may therefore be enqueued twice.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ from __future__ import annotations
 import json
 import os
 import time
+import urllib.error
+import urllib.request
 from collections.abc import Iterator
 
 from repro.errors import ReproError
-from repro.faults.retry import RetryPolicy
-from repro.serve.transport import (
-    HttpStatusError,
-    HttpTransport,
-    TransportError,
-)
+from repro.faults.retry import RetryPolicy, retry_call
 
 #: Default daemon address; overridden by --url or $TELS_SERVE_URL.
 DEFAULT_URL = "http://127.0.0.1:8765"
@@ -57,6 +54,23 @@ class ServeClientError(ReproError):
         return self.payload.get("error", {}).get("code", "unknown")
 
 
+class _Unreachable(OSError):
+    """The daemon could not be reached: the one failure worth retrying."""
+
+
+def _status_error(exc: urllib.error.HTTPError) -> ServeClientError:
+    """A non-2xx response as a :class:`ServeClientError`."""
+    body = exc.read()
+    try:
+        payload = json.loads(body)
+    except ValueError:
+        payload = {"error": {"message": body.decode(errors="replace")}}
+    if not isinstance(payload, dict):
+        payload = {}
+    message = payload.get("error", {}).get("message", f"HTTP {exc.code}")
+    return ServeClientError(message, status=exc.code, payload=payload)
+
+
 class TelsClient:
     """Thin JSON-over-HTTP wrapper around one daemon."""
 
@@ -68,28 +82,54 @@ class TelsClient:
     ):
         self.base_url = resolve_url(base_url)
         self.timeout = timeout
-        self.transport = HttpTransport(
-            self.base_url, timeout_s=timeout, retry=retry
-        )
+        self.retry = retry or RetryPolicy()
 
     # -- transport -----------------------------------------------------
-    def _request(self, method: str, path: str, body: dict | None = None):
+    def _urlopen(self, method: str, path: str, data: bytes | None = None):
+        """Open one request; HTTP errors raise :class:`ServeClientError`."""
+        headers = {"Accept": "application/json"}
+        if data is not None:
+            headers["Content-Type"] = "application/json"
+        request = urllib.request.Request(
+            self.base_url + path, data=data, headers=headers, method=method
+        )
         try:
-            return self.transport.request(method, path, body)
-        except HttpStatusError as exc:
-            payload = exc.payload()
-            message = payload.get("error", {}).get("message", str(exc))
-            raise ServeClientError(
-                message, status=exc.status, payload=payload
-            ) from None
-        except TransportError as exc:
-            raise ServeClientError(
-                f"cannot reach daemon at {self.base_url}: {exc}"
-            ) from None
+            return urllib.request.urlopen(request, timeout=self.timeout)
+        except urllib.error.HTTPError as exc:
+            raise _status_error(exc) from None
+        except OSError as exc:  # refused, reset, DNS, or timed out
+            raise _Unreachable(getattr(exc, "reason", exc)) from None
+
+    def _unreachable(self, exc: _Unreachable) -> ServeClientError:
+        return ServeClientError(
+            f"cannot reach daemon at {self.base_url}: {exc}"
+        )
+
+    def _request(
+        self, method: str, path: str, body: dict | None = None
+    ) -> bytes:
+        """One request's response body, retried while unreachable."""
+        data = None if body is None else json.dumps(body).encode()
+
+        def attempt(_attempt: int) -> bytes:
+            with self._urlopen(method, path, data) as response:
+                try:
+                    return response.read()
+                except OSError as exc:
+                    raise _Unreachable(exc) from None
+
+        try:
+            return retry_call(
+                attempt,
+                self.retry,
+                retryable=(_Unreachable,),
+                key=f"{method} {path}",
+            )
+        except _Unreachable as exc:
+            raise self._unreachable(exc) from None
 
     def _json(self, method: str, path: str, body: dict | None = None) -> dict:
-        _status, raw, _headers = self._request(method, path, body)
-        return json.loads(raw)
+        return json.loads(self._request(method, path, body))
 
     # -- API -----------------------------------------------------------
     def healthz(self) -> dict:
@@ -103,7 +143,6 @@ class TelsClient:
         blif: str,
         name: str = "network",
         options: dict | None = None,
-        jobs: int = 1,
         use_cache: bool = True,
     ) -> dict:
         """Submit BLIF text; returns the accepted job snapshot (202)."""
@@ -114,7 +153,6 @@ class TelsClient:
                 "blif": blif,
                 "name": name,
                 "options": options or {},
-                "jobs": jobs,
                 "use_cache": use_cache,
             },
         )
@@ -130,29 +168,18 @@ class TelsClient:
 
     def result(self, job_id: str, fmt: str = "json") -> dict | str:
         """The finished job's result: a dict for json/sarif, text for thblif."""
-        _status, raw, _headers = self._request(
-            "GET", f"/jobs/{job_id}/result?format={fmt}"
-        )
+        raw = self._request("GET", f"/jobs/{job_id}/result?format={fmt}")
         if fmt == "thblif":
             return raw.decode()
         return json.loads(raw)
 
     def events(self, job_id: str, since: int = 0) -> Iterator[dict]:
-        """Stream the job's NDJSON events until it turns terminal."""
+        """Stream the job's NDJSON events until it turns terminal (no retry)."""
+        path = f"/jobs/{job_id}/events?since={since}"
         try:
-            stream = self.transport.open_stream(
-                "GET", f"/jobs/{job_id}/events?since={since}"
-            )
-        except HttpStatusError as exc:
-            payload = exc.payload()
-            message = payload.get("error", {}).get("message", str(exc))
-            raise ServeClientError(
-                message, status=exc.status, payload=payload
-            ) from None
-        except TransportError as exc:
-            raise ServeClientError(
-                f"cannot reach daemon at {self.base_url}: {exc}"
-            ) from None
+            stream = self._urlopen("GET", path)
+        except _Unreachable as exc:
+            raise self._unreachable(exc) from None
         with stream:
             for line in stream:
                 line = line.strip()

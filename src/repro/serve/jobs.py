@@ -1,4 +1,4 @@
-"""The daemon's job layer: queue, worker pool, events, and persistence.
+"""The daemon's job layer: queue, job threads, events, and persistence.
 
 A :class:`Job` is one accepted synthesis request moving through the
 lifecycle ``queued → running → done | failed | cancelled``.  The
@@ -14,8 +14,8 @@ lifecycle ``queued → running → done | failed | cancelled``.  The
   via the scheduler's ``on_event`` hook) plus job-lifecycle markers, each
   stamped with a monotonic ``seq`` so streams are ordered and resumable;
 * cooperative **cancellation**: ``cancel()`` sets the job's flag, which the
-  scheduler observes between cones — pool workers are reaped, solved
-  vectors are still flushed to the persistent tier;
+  scheduler observes between cones — solved vectors are still flushed to
+  the persistent tier;
 * the crash-tolerant :class:`~repro.serve.journal.JobJournal`: accepted
   requests, state transitions, and results are journaled as they happen,
   so a restarted daemon re-enqueues interrupted jobs and serves finished
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from repro.engine.store import ResultStore
 from repro.errors import ReproError, SynthesisCancelled
-from repro.serve.broker import WorkBroker
 from repro.serve.journal import JobJournal
 from repro.serve.schemas import (
     ApiError,
@@ -109,7 +108,6 @@ class JobManager:
         journal_dir: str | None = None,
         max_workers: int = 2,
         queue_limit: int = 256,
-        lease_s: float | None = None,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -124,28 +122,8 @@ class JobManager:
         )
         self.max_workers = max_workers
         self.started_at = time.time()
-        self.broker = (
-            WorkBroker(lease_s=lease_s) if lease_s is not None else WorkBroker()
-        )
-        #: In-memory network cache tier when no --cache directory is set.
-        self._memory_tier: dict | None = None
-        #: Daemon-side network-cache counters (the tier's served side).
-        self._cache_counters = {
-            "gets": 0,
-            "hits": 0,
-            "misses": 0,
-            "puts": 0,
-            "installs": 0,
-            "fingerprint_rejects": 0,
-        }
         #: Engine resilience counters folded from every finished job.
-        self._resilience = {
-            "retries": 0,
-            "requeues": 0,
-            "degraded_cones": 0,
-            "quarantined_cones": 0,
-            "lease_expirations": 0,
-        }
+        self._resilience = {"retries": 0, "degraded_cones": 0}
         self._jobs: dict[str, Job] = {}
         self._queue: queue.Queue[str | None] = queue.Queue(maxsize=queue_limit)
         self._lock = threading.RLock()
@@ -177,6 +155,9 @@ class JobManager:
             state = record.get("state")
             if not isinstance(raw, dict) or state is None:
                 continue  # never fully accepted; nothing to resume
+            # Older journals store a per-job cone "jobs" count in every
+            # request; the API no longer accepts it, so drop it to replay.
+            raw = {k: v for k, v in raw.items() if k != "jobs"}
             try:
                 request = parse_job_request(raw)
             except ApiError as exc:
@@ -370,7 +351,6 @@ class JobManager:
         network, report = synthesize_with_report(
             prepared,
             job.request.build_options(),
-            jobs=job.request.jobs,
             store=store,
             on_event=lambda event: self._publish(job, event),
             cancel=job.cancel_event,
@@ -387,87 +367,12 @@ class JobManager:
             return
         with self._lock:
             self._resilience["retries"] += trace.retries
-            self._resilience["requeues"] += trace.requeues
             self._resilience["degraded_cones"] += len(trace.degraded)
-            self._resilience["quarantined_cones"] += len(trace.quarantined)
-            self._resilience["lease_expirations"] += getattr(
-                trace, "lease_expirations", 0
-            )
-
-    # -- network cache tier --------------------------------------------
-    def _cache_tier(self):
-        """The tier behind ``GET/PUT /cache``: on-disk cache or memory dict."""
-        if self.store.persistent is not None:
-            return self.store.persistent
-        with self._lock:
-            if self._memory_tier is None:
-                self._memory_tier = {}
-            return self._memory_tier
-
-    def _check_fingerprint(self, fingerprint: str) -> None:
-        from repro.cache.canonical import CANONICAL_FINGERPRINT
-
-        if fingerprint and fingerprint != CANONICAL_FINGERPRINT:
-            with self._lock:
-                self._cache_counters["fingerprint_rejects"] += 1
-            raise ApiError(
-                412,
-                "canonicalization fingerprint mismatch "
-                f"(daemon: {CANONICAL_FINGERPRINT})",
-                code="fingerprint-mismatch",
-            )
-
-    def cache_get(self, key: str, fingerprint: str) -> tuple[dict, str]:
-        """One entry of the network cache tier, or a structured 404/412."""
-        from repro.cache.store import ABSENT, values_etag
-
-        self._check_fingerprint(fingerprint)
-        tier = self._cache_tier()
-        values = (
-            tier.get(key) if not isinstance(tier, dict)
-            else tier.get(key, ABSENT)
-        )
-        with self._lock:
-            self._cache_counters["gets"] += 1
-            if values is ABSENT:
-                self._cache_counters["misses"] += 1
-            else:
-                self._cache_counters["hits"] += 1
-        if values is ABSENT:
-            raise ApiError(
-                404, f"no cache entry for {key!r}", code="not-found"
-            )
-        payload = {"key": key, "values": values, "entries": len(tier)}
-        return payload, values_etag(values)
-
-    def cache_put(self, key: str, fingerprint: str, values) -> dict:
-        """Install one solved entry into the shared tier (idempotent)."""
-        self._check_fingerprint(fingerprint)
-        if values is not None:
-            if not isinstance(values, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in values
-            ):
-                raise ApiError(
-                    400, "'values' must be null or a list of integers"
-                )
-        tier = self._cache_tier()
-        if isinstance(tier, dict):
-            installed = key not in tier
-            if installed:
-                tier[key] = values
-        else:
-            installed = tier.put(key, values)
-        with self._lock:
-            self._cache_counters["puts"] += 1
-            if installed:
-                self._cache_counters["installs"] += 1
-        return {"installed": installed, "entries": len(tier)}
 
     def resilience_counters(self) -> dict:
         """The compact fault-handling summary (``/healthz`` + ``/stats``)."""
         with self._lock:
             counters = dict(self._resilience)
-        counters["broker_lease_expirations"] = self.broker.lease_expirations
         counters["cache_rejects"] = self.store.stats.transform_rejects
         return counters
 
@@ -545,8 +450,6 @@ class JobManager:
                 "transform_rejects": store_stats.transform_rejects,
             },
             "resilience": self.resilience_counters(),
-            "work": self.broker.stats(),
-            "network_cache": dict(self._cache_counters),
         }
         if self.store.persistent is not None:
             payload["cache"] = {

@@ -4,7 +4,7 @@ Everything that crosses the HTTP boundary (or the jobs journal) is a plain
 JSON-serializable dict, produced and validated here so the daemon, the
 client, and the journal agree on one shape:
 
-* **job request** — ``{"blif": "...", "options": {...}, "name", "jobs",
+* **job request** — ``{"blif": "...", "options": {...}, "name",
   "use_cache"}``; :func:`parse_job_request` validates field types, bounds,
   and the BLIF text itself (fail fast: a malformed circuit is rejected at
   submission with a structured 400, it never reaches the queue).
@@ -45,29 +45,6 @@ OPTION_FIELDS: dict[str, tuple[type, ...]] = {
     "strict_synthesis": (bool,),
 }
 
-#: Cap on per-job cone worker processes a client may request.
-MAX_JOB_WORKERS = 8
-
-#: Cap on remote-worker ids / task ids crossing the work API (DoS hygiene:
-#: these land in dict keys and log lines verbatim).
-MAX_WORK_ID_LEN = 128
-
-
-def validate_work_id(value, field_name: str) -> str:
-    """Validate a worker/task identifier crossing the ``/work`` API."""
-    if not isinstance(value, str) or not value:
-        raise ApiError(
-            400, f"{field_name!r} must be a non-empty string", code="bad-work"
-        )
-    if len(value) > MAX_WORK_ID_LEN:
-        raise ApiError(
-            400,
-            f"{field_name!r} exceeds {MAX_WORK_ID_LEN} characters",
-            code="bad-work",
-        )
-    return value
-
-
 class ApiError(ReproError):
     """A structured API failure: HTTP status plus a JSON error payload."""
 
@@ -97,7 +74,6 @@ class JobRequest:
     blif: str
     name: str = "network"
     options: dict = field(default_factory=dict)
-    jobs: int = 1
     use_cache: bool = True
 
     def to_dict(self) -> dict:
@@ -106,7 +82,6 @@ class JobRequest:
             "blif": self.blif,
             "name": self.name,
             "options": dict(self.options),
-            "jobs": self.jobs,
             "use_cache": self.use_cache,
         }
 
@@ -170,24 +145,17 @@ def parse_job_request(payload) -> JobRequest:
     name = payload.get("name", "network")
     if not isinstance(name, str) or not name:
         raise ApiError(400, "'name' must be a non-empty string")
-    jobs = payload.get("jobs", 1)
-    if not isinstance(jobs, int) or isinstance(jobs, bool):
-        raise ApiError(400, "'jobs' must be an integer")
-    if not 1 <= jobs <= MAX_JOB_WORKERS:
-        raise ApiError(
-            400, f"'jobs' must be between 1 and {MAX_JOB_WORKERS}"
-        )
     use_cache = payload.get("use_cache", True)
     if not isinstance(use_cache, bool):
         raise ApiError(400, "'use_cache' must be a boolean")
-    unknown = set(payload) - {"blif", "name", "options", "jobs", "use_cache"}
+    unknown = set(payload) - {"blif", "name", "options", "use_cache"}
     if unknown:
         raise ApiError(
             400, f"unknown field(s): {', '.join(sorted(unknown))}"
         )
     options = validate_options(payload.get("options", {}))
     request = JobRequest(
-        blif=blif, name=name, options=options, jobs=jobs, use_cache=use_cache
+        blif=blif, name=name, options=options, use_cache=use_cache
     )
     # Fail fast on both the circuit and the option values: a job that can
     # never run must be rejected at the door, not enqueued.
@@ -244,17 +212,9 @@ def report_to_dict(network, report, source_verified: bool, wall_s: float) -> dic
     if trace is not None:
         result["trace"] = {
             "tasks": trace.num_tasks,
-            "backend": trace.backend,
-            "jobs": trace.jobs,
             "gate_model": trace.gate_model,
             "wall_s": round(trace.wall_s, 6),
             "retries": trace.retries,
-            "requeues": trace.requeues,
-            "lease_expirations": trace.lease_expirations,
-            "remote_workers": trace.remote_workers,
-            "remote_fallback_tasks": trace.remote_fallback_tasks,
-            "remote_fallback_reason": trace.remote_fallback_reason,
-            "quarantined": len(trace.quarantined),
             "degraded": len(trace.degraded),
         }
         result["cache"] = {

@@ -82,9 +82,8 @@ class TestScc:
 
         The reduced cover's cube order is the parent cover's tie-break,
         not a function of its own cubes — if pickling dropped the
-        ``scc() is self`` marker, a remote worker would re-reduce the
-        cover into a different cube order and distributed synthesis
-        would stop being byte-identical to serial.
+        ``scc() is self`` marker, an unpickled copy would re-reduce into
+        a different cube order than the original.
         """
         import pickle
 

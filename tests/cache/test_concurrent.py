@@ -8,7 +8,6 @@ advisory ``flock`` so two appends never interleave half-lines.
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 from repro.cache.store import cache_file, open_cache
@@ -93,30 +92,6 @@ class TestConcurrentWriters:
         reloaded = open_cache(tmp_path)
         assert len(reloaded) == 120
         assert reloaded.file_stats.corrupt_lines == 0
-
-    def test_pickle_snapshot_while_writing(self, tmp_path):
-        """Engine workers pickle the cache while the daemon mutates it."""
-        cache = open_cache(tmp_path)
-        stop = threading.Event()
-
-        def mutator() -> None:
-            # Bounded: an unbounded spin loses the race against the O(n)
-            # snapshot copies and the test goes quadratic (each pickle
-            # grows the dict the next pickle must copy).
-            i = 0
-            while not stop.is_set() and i < 5000:
-                cache.put(f"m{i}", [i])
-                i += 1
-
-        thread = threading.Thread(target=mutator)
-        thread.start()
-        try:
-            for _ in range(50):
-                clone = pickle.loads(pickle.dumps(cache))
-                assert clone.get("m0") in ([0], clone.get("m0"))
-        finally:
-            stop.set()
-            thread.join(timeout=10)
 
     def test_advisory_lock_file_appears(self, tmp_path):
         try:

@@ -95,25 +95,3 @@ class TestDifferentialNetworks:
                 assert on_margin >= gate.delta_on, gate.name
             if off_margin is not None:
                 assert off_margin >= gate.delta_off, gate.name
-
-    def test_process_pool_run_persists_and_rereads(self, tmp_path):
-        """Workers hold read-only snapshots; their journaled solves must
-        still reach disk through the scheduler merge."""
-        cache_dir = str(tmp_path / "pool")
-        options = SynthesisOptions(psi=3, seed=0)
-        source = random_logic_network(
-            "pool", num_inputs=6, num_outputs=3, num_nodes=12, seed=5
-        )
-        parallel, _ = synthesize_with_report(
-            source, options, jobs=2, cache_dir=cache_dir
-        )
-        assert verify_threshold_network(source, parallel)
-
-        warm_store = ResultStore.with_cache_dir(cache_dir)
-        assert len(warm_store.persistent) > 0
-        warm, report = synthesize_with_report(
-            source, options, store=warm_store
-        )
-        assert verify_threshold_network(source, warm)
-        assert warm_store.stats.persistent_hits > 0
-        assert warm_store.stats.persistent_misses == 0

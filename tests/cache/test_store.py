@@ -1,14 +1,12 @@
 """Persistent cache file behavior: tolerance, atomicity, store layering."""
 
 import json
-import pickle
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.cache.store import (
     ABSENT,
     FORMAT_NAME,
-    PersistentCache,
     cache_file,
     entry_key,
     open_cache,
@@ -128,16 +126,6 @@ class TestPersistence:
         assert len(cache) == 0
         assert not cache_file(tmp_path).exists()
 
-    def test_pickles_to_read_only_snapshot(self, tmp_path):
-        cache = open_cache(tmp_path)
-        cache.put("k", [1, 2])
-        clone: PersistentCache = pickle.loads(pickle.dumps(cache))
-        assert clone.read_only
-        assert clone.get("k") == [1, 2]
-        clone.put("new", [3])
-        assert clone.dirty_count == 0
-        assert clone.flush() == 0  # read-only snapshots never write
-
 
 class TestResultStoreLayering:
     def test_miss_then_persistent_hit_across_stores(self, tmp_path):
@@ -193,23 +181,10 @@ class TestResultStoreLayering:
         store.put_vector(and_key(0, 2), WeightThresholdVector((2, 2), 4))
         assert store.flush_persistent() == 2
 
-    def test_merge_commits_worker_vectors_to_disk(self, tmp_path):
-        worker = ResultStore()
-        worker.begin_journal()
-        worker.put_vector(and_key(), AND_VECTOR)
-        delta = worker.take_journal()
-
-        master = ResultStore.with_cache_dir(tmp_path)
-        master.merge(delta)
-        assert master.flush_persistent() == 1
-        assert ResultStore.with_cache_dir(tmp_path).get_vector(
-            and_key()
-        ) == AND_VECTOR
-
-    def test_read_only_snapshot_skips_persistent_put(self, tmp_path):
-        master = ResultStore.with_cache_dir(tmp_path)
-        worker_cache = pickle.loads(pickle.dumps(master.persistent))
-        worker = ResultStore(persistent=worker_cache)
-        worker.put_vector(and_key(), AND_VECTOR)
-        assert worker.flush_persistent() == 0
-        assert worker_cache.dirty_count == 0
+    def test_read_only_cache_skips_persistent_put(self, tmp_path):
+        open_cache(tmp_path).flush()
+        cache = open_cache(tmp_path, read_only=True)
+        store = ResultStore(persistent=cache)
+        store.put_vector(and_key(), AND_VECTOR)
+        assert store.flush_persistent() == 0
+        assert cache.dirty_count == 0

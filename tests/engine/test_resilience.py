@@ -1,4 +1,4 @@
-"""Resilience layer: deadlines, degradation, crash recovery, chaos runs.
+"""Resilience layer: deadlines, degradation, retries, chaos runs.
 
 The contract under test: whatever faults the chaos harness injects on the
 recoverable paths, ``run_synthesis`` completes with a network that is
@@ -26,7 +26,7 @@ from repro.engine.resilience import (
 )
 from repro.engine.scheduler import run_synthesis
 from repro.engine.tasks import preserved_set
-from repro.errors import DeadlineExceeded, SynthesisError
+from repro.errors import DeadlineExceeded, SynthesisError, TransientError
 from repro.faults.injector import CHAOS_ENV
 from repro.ilp.backends import get_backend
 from repro.lint.diagnostics import LintOptions
@@ -84,8 +84,6 @@ class TestDeadline:
         assert policy.deadline_total_s == 9.0
         assert policy.max_attempts == 5
         assert policy.strict
-        assert policy.watchdog_needed
-        assert not ResiliencePolicy().watchdog_needed
 
 
 class TestFallback:
@@ -123,14 +121,11 @@ class TestFallback:
 
 
 class TestDeadlineDegradation:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_tiny_per_cone_deadline_degrades_everything(self, jobs):
+    def test_tiny_per_cone_deadline_degrades_everything(self):
         source = _source()
         net = prepare_tels(source)
-        options = SynthesisOptions(
-            psi=3, deadline_per_cone_s=1e-6, watchdog_grace_s=30.0
-        )
-        result = run_synthesis(net, options, jobs=jobs)
+        options = SynthesisOptions(psi=3, deadline_per_cone_s=1e-6)
+        result = run_synthesis(net, options)
         report = result.report
         assert report.degraded_cones == len(result.trace.tasks)
         assert report.degraded_cones > 0
@@ -168,59 +163,52 @@ class TestDeadlineDegradation:
             assert len(gate.inputs) <= options.psi
 
 
-class TestChaosWorkerCrashes:
-    def test_crash_storm_quarantines_and_recovers(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "worker=1.0:1")
-        source = _source()
-        net = prepare_tels(source)
-        options = SynthesisOptions(psi=3, retry_backoff_s=0.01)
-        result = run_synthesis(net, options, jobs=2)
-        assert result.trace.pool_rebuilds >= 1
-        assert result.trace.quarantined
-        assert result.report.degraded_cones > 0
-        assert all(
-            d.reason == "quarantined" for d in result.report.degraded
-        )
-        _check(source, result)
+class TestTransientRetry:
+    @staticmethod
+    def _flaky(monkeypatch, failures: int) -> None:
+        """Make every cone raise a transient error on its first runs."""
+        from repro.engine import scheduler
 
-    def test_moderate_crash_rate_completes_equivalent(self, monkeypatch):
-        source = _source()
-        net = prepare_tels(source)
-        options = SynthesisOptions(psi=3, retry_backoff_s=0.01)
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
+        real_run = scheduler.ConeSynthesizer.run
+        runs: dict[str, int] = {}
+
+        def run(self):
+            runs[self.root] = runs.get(self.root, 0) + 1
+            if runs[self.root] <= failures:
+                raise TransientError(f"flaky cone {self.root!r}")
+            return real_run(self)
+
+        monkeypatch.setattr(scheduler.ConeSynthesizer, "run", run)
+
+    def test_retried_cones_match_a_clean_run(self, monkeypatch):
+        net = prepare_tels(_source())
         clean = run_synthesis(net, SynthesisOptions(psi=3))
-        monkeypatch.setenv(CHAOS_ENV, "worker=0.4:3")
-        result = run_synthesis(net, options, jobs=2)
-        _check(source, result)
-        if result.report.degraded_cones == 0:
-            # Crash-retry recovery alone must not change the output.
-            assert _gate_list(result.network) == _gate_list(clean.network)
-
-    def test_worker_chaos_is_inert_in_serial_runs(self, monkeypatch):
-        """The worker/stall sites model process deaths; the serial backend
-        has no worker processes, so the same env must change nothing."""
-        source = _source()
-        net = prepare_tels(source)
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
-        clean = run_synthesis(net, SynthesisOptions(psi=3))
-        monkeypatch.setenv(CHAOS_ENV, "worker=1.0,stall=1.0:9")
-        chaotic = run_synthesis(net, SynthesisOptions(psi=3))
-        assert chaotic.report.degraded_cones == 0
-        assert _gate_list(chaotic.network) == _gate_list(clean.network)
-
-
-class TestChaosStalls:
-    def test_watchdog_reaps_stalled_workers(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "stall=1.0:1")
-        source = _source()
-        net = prepare_tels(source)
+        self._flaky(monkeypatch, failures=1)
         options = SynthesisOptions(
-            psi=3, deadline_per_cone_s=0.25, watchdog_grace_s=0.3
+            psi=3, retry_backoff_s=0.0, retry_backoff_max_s=0.0
         )
-        result = run_synthesis(net, options, jobs=2)
-        assert result.trace.watchdog_kills > 0
-        assert result.report.degraded_cones > 0
-        assert all(d.reason == "deadline" for d in result.report.degraded)
+        result = run_synthesis(net, options)
+        assert result.report.degraded_cones == 0
+        assert result.trace.retries == len(result.trace.tasks)
+        assert all(m.attempts == 2 for m in result.trace.tasks)
+        assert _gate_list(result.network) == _gate_list(clean.network)
+
+    def test_exhausted_retries_degrade(self, monkeypatch):
+        source = _source()
+        net = prepare_tels(source)
+        self._flaky(monkeypatch, failures=99)
+        options = SynthesisOptions(
+            psi=3,
+            max_attempts=2,
+            retry_backoff_s=0.0,
+            retry_backoff_max_s=0.0,
+        )
+        result = run_synthesis(net, options)
+        assert result.report.degraded_cones == len(result.trace.tasks)
+        assert all(
+            d.reason == "retry-exhausted" and d.attempts == 2
+            for d in result.report.degraded
+        )
         _check(source, result)
 
 
@@ -252,51 +240,24 @@ class TestChaosSolver:
 
 class TestChaosEndToEnd:
     def test_combined_chaos_differential(self, tmp_path, monkeypatch):
-        """The acceptance scenario: >=10% worker crashes plus solver
-        timeouts plus cache faults, and the run still completes with a
-        verified, lint-clean network."""
+        """The acceptance scenario: solver timeouts plus cache faults, and
+        the run still completes with a verified, lint-clean network."""
         source = _source()
         net = prepare_tels(source)
-        monkeypatch.setenv(CHAOS_ENV, "worker=0.2,solver=0.3,cache=0.3:5")
+        monkeypatch.setenv(CHAOS_ENV, "solver=0.3,cache=0.3:5")
         options = SynthesisOptions(psi=3, retry_backoff_s=0.01)
         result = run_synthesis(
-            net, options, jobs=2, cache_dir=str(tmp_path / "cache")
+            net, options, cache_dir=str(tmp_path / "cache")
         )
         _check(source, result)
         for degraded in result.report.degraded:
-            assert degraded.reason in {
-                "deadline",
-                "quarantined",
-                "retry-exhausted",
-            }
+            assert degraded.reason in {"deadline", "retry-exhausted"}
 
     def test_no_chaos_means_no_degradation(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         source = _source()
         net = prepare_tels(source)
-        result = run_synthesis(net, SynthesisOptions(psi=3), jobs=2)
+        result = run_synthesis(net, SynthesisOptions(psi=3))
         assert result.report.degraded_cones == 0
         assert result.trace.retries == 0
-        assert result.trace.pool_rebuilds == 0
         _check(source, result)
-
-
-class TestBrokenPoolRecovery:
-    def test_single_crash_requeues_and_matches_serial(self, monkeypatch):
-        """One injected worker death: the pool is rebuilt, the cone is
-        retried, and the final network is identical to a serial clean run
-        (recovery must not perturb determinism)."""
-        source = _source()
-        net = prepare_tels(source)
-        monkeypatch.delenv(CHAOS_ENV, raising=False)
-        serial = run_synthesis(net, SynthesisOptions(psi=3))
-        # Rate 0.12 with this seed kills exactly one first attempt and no
-        # retries (decisions are keyed on task:attempt, so retries survive).
-        monkeypatch.setenv(CHAOS_ENV, "worker=0.12:0")
-        options = SynthesisOptions(psi=3, retry_backoff_s=0.01)
-        recovered = run_synthesis(net, options, jobs=2)
-        assert recovered.trace.pool_rebuilds >= 1
-        assert recovered.trace.requeues >= 1
-        assert recovered.report.degraded_cones == 0
-        assert _gate_list(recovered.network) == _gate_list(serial.network)
-        _check(source, recovered)

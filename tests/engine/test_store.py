@@ -1,4 +1,4 @@
-"""The shared result store: tiers, journaling, merge, statistics."""
+"""The shared result store: tiers and statistics."""
 
 from __future__ import annotations
 
@@ -42,34 +42,6 @@ class TestAnalysisTier:
         store.put_analysis(key, analysis)
         assert store.get_analysis(key) is analysis
         assert store.stats.analysis_hits == 1
-
-
-class TestJournal:
-    def test_journal_captures_only_new_entries(self):
-        store = ResultStore()
-        store.put_vector(("old", 0, 1, None), 1)
-        store.begin_journal()
-        store.put_vector(("new", 0, 1, None), 2)
-        delta = store.take_journal()
-        assert ("new", 0, 1, None) in delta.vectors
-        assert ("old", 0, 1, None) not in delta.vectors
-
-    def test_merge_applies_delta(self):
-        a = ResultStore()
-        a.begin_journal()
-        a.put_vector(("k", 0, 1, None), 7)
-        delta = a.take_journal()
-        b = ResultStore()
-        b.merge(delta)
-        assert b.get_vector(("k", 0, 1, None)) == 7
-
-    def test_export_snapshot(self):
-        store = ResultStore()
-        store.put_vector(("k", 0, 1, None), 7)
-        exported = store.export()
-        fresh = ResultStore()
-        fresh.merge(exported)
-        assert fresh.num_vectors == 1
 
 
 class TestStats:
@@ -119,57 +91,3 @@ class TestStats:
         rebuilt.add(delta)
         for f in fields(StoreStats):
             assert getattr(rebuilt, f.name) == getattr(after, f.name), f.name
-
-
-class TestProcessPoolAccounting:
-    """The scheduler's fold: per-task deltas from worker stores merge into
-    the master's stats exactly once."""
-
-    def _worker_round(self, store, hits, misses):
-        """Simulate one task: `hits` served lookups, `misses` new solves."""
-        before = store.stats.snapshot()
-        for i in range(misses):
-            key = (f"k{i}", 0, 1, None)
-            assert store.is_miss(store.get_vector(key))
-            store.put_vector(key, (i,))
-        for i in range(hits):
-            store.get_vector((f"k{i % max(misses, 1)}", 0, 1, None))
-        return store.take_journal(), store.stats.since(before)
-
-    def test_merged_deltas_sum_without_double_counting(self):
-        master = ResultStore()
-        # Master does some serial work of its own first.
-        master.put_vector(("own", 0, 1, None), (0,))
-        master.get_vector(("own", 0, 1, None))
-        own = master.stats.snapshot()
-
-        worker_a = ResultStore()
-        worker_a.begin_journal()
-        worker_b = ResultStore()
-        worker_b.begin_journal()
-        delta_a, stats_a = self._worker_round(worker_a, hits=3, misses=2)
-        delta_b, stats_b = self._worker_round(worker_b, hits=1, misses=4)
-
-        merge_before = master.stats.snapshot()
-        master.merge(delta_a)
-        master.merge(delta_b)
-        # merge() installs entries without lookups: no counter traffic.
-        assert master.stats.since(merge_before) == StoreStats()
-
-        master.stats.add(stats_a)
-        master.stats.add(stats_b)
-        assert (
-            master.stats.vector_hits
-            == own.vector_hits + stats_a.vector_hits + stats_b.vector_hits
-        )
-        assert (
-            master.stats.vector_misses
-            == own.vector_misses
-            + stats_a.vector_misses
-            + stats_b.vector_misses
-        )
-        # Folding the same delta twice is the bug the scheduler guards
-        # against (serial backend shares the master store): totals diverge.
-        double = master.stats.snapshot()
-        double.add(stats_a)
-        assert double.vector_hits != master.stats.vector_hits

@@ -20,8 +20,8 @@ from repro.faults.retry import RetryPolicy, retry_call
 
 class TestSpecParsing:
     def test_single_site_with_seed(self):
-        spec = parse_chaos_spec("worker=0.5:7")
-        assert spec.rates == {"worker": 0.5}
+        spec = parse_chaos_spec("solver=0.5:7")
+        assert spec.rates == {"solver": 0.5}
         assert spec.seed == 7
         assert spec.active
 
@@ -29,26 +29,26 @@ class TestSpecParsing:
         spec = parse_chaos_spec("solver=1.0,cache=0.25")
         assert spec.rate("solver") == 1.0
         assert spec.rate("cache") == 0.25
-        assert spec.rate("worker") == 0.0
+        assert spec.rate("cache-corrupt") == 0.0
         assert spec.seed == 0
 
     def test_whitespace_tolerated(self):
-        spec = parse_chaos_spec(" worker=0.1 , stall=0.2 :3")
-        assert spec.rates == {"worker": 0.1, "stall": 0.2}
+        spec = parse_chaos_spec(" solver=0.1 , cache=0.2 :3")
+        assert spec.rates == {"solver": 0.1, "cache": 0.2}
         assert spec.seed == 3
 
     def test_zero_rate_spec_is_inactive(self):
-        assert not parse_chaos_spec("worker=0.0").active
+        assert not parse_chaos_spec("solver=0.0").active
 
     @pytest.mark.parametrize(
         "text",
         [
-            "worker",  # no rate
-            "worker=0.5:xyz",  # bad seed
+            "solver",  # no rate
+            "solver=0.5:xyz",  # bad seed
             "typo-site=0.5",  # unknown site
-            "worker=lots",  # non-numeric rate
-            "worker=1.5",  # out of range
-            "worker=-0.1",  # out of range
+            "solver=lots",  # non-numeric rate
+            "solver=1.5",  # out of range
+            "solver=-0.1",  # out of range
             ":4",  # no sites
             "",  # empty
         ],
@@ -56,6 +56,14 @@ class TestSpecParsing:
     def test_malformed_specs_raise(self, text):
         with pytest.raises(ChaosError):
             parse_chaos_spec(text)
+
+    @pytest.mark.parametrize(
+        "site", ["worker", "stall", "net-refuse", "net-corrupt", "net-dup"]
+    )
+    def test_removed_sites_fail_loudly(self, site):
+        known = "known: cache, cache-corrupt, solver, solver-wrong"
+        with pytest.raises(ChaosError, match=f"unknown site .*{known}"):
+            parse_chaos_spec(f"{site}=0.5")
 
     def test_every_known_site_parses(self):
         body = ",".join(f"{site}=0.1" for site in sorted(KNOWN_SITES))
@@ -65,18 +73,18 @@ class TestSpecParsing:
 
 class TestDecisions:
     def test_same_key_same_decision(self):
-        a = FaultInjector(parse_chaos_spec("worker=0.5:1"))
-        b = FaultInjector(parse_chaos_spec("worker=0.5:1"))
+        a = FaultInjector(parse_chaos_spec("solver=0.5:1"))
+        b = FaultInjector(parse_chaos_spec("solver=0.5:1"))
         keys = [f"cone{i}:1" for i in range(200)]
-        assert [a.decide("worker", k) for k in keys] == [
-            b.decide("worker", k) for k in keys
+        assert [a.decide("solver", k) for k in keys] == [
+            b.decide("solver", k) for k in keys
         ]
 
     def test_rate_one_always_fires_rate_zero_never(self):
-        inj = FaultInjector(parse_chaos_spec("worker=1.0:0"))
-        assert all(inj.decide("worker", f"k{i}") for i in range(20))
+        inj = FaultInjector(parse_chaos_spec("cache=1.0:0"))
+        assert all(inj.decide("cache", f"k{i}") for i in range(20))
         assert not any(inj.decide("solver", f"k{i}") for i in range(20))
-        assert inj.injected == {"worker": 20}
+        assert inj.injected == {"cache": 20}
 
     def test_rate_is_statistically_respected(self):
         inj = FaultInjector(parse_chaos_spec("cache=0.3:5"))
@@ -84,22 +92,22 @@ class TestDecisions:
         assert 0.25 < hits / 2000 < 0.35
 
     def test_seed_changes_decisions(self):
-        a = FaultInjector(parse_chaos_spec("worker=0.5:1"))
-        b = FaultInjector(parse_chaos_spec("worker=0.5:2"))
+        a = FaultInjector(parse_chaos_spec("solver=0.5:1"))
+        b = FaultInjector(parse_chaos_spec("solver=0.5:2"))
         keys = [f"cone{i}" for i in range(200)]
-        assert [a.decide("worker", k) for k in keys] != [
-            b.decide("worker", k) for k in keys
+        assert [a.decide("solver", k) for k in keys] != [
+            b.decide("solver", k) for k in keys
         ]
 
     def test_decisions_survive_pythonhashseed(self):
         """String seeding hashes through SHA-512, not hash(): decisions
         must match across interpreters with different PYTHONHASHSEED."""
-        local = FaultInjector(parse_chaos_spec("worker=0.5:42"))
-        expect = [local.decide("worker", f"cone{i}:1") for i in range(32)]
+        local = FaultInjector(parse_chaos_spec("solver=0.5:42"))
+        expect = [local.decide("solver", f"cone{i}:1") for i in range(32)]
         code = (
             "from repro.faults.injector import FaultInjector, parse_chaos_spec;"
-            "inj = FaultInjector(parse_chaos_spec('worker=0.5:42'));"
-            "print([inj.decide('worker', f'cone{i}:1') for i in range(32)])"
+            "inj = FaultInjector(parse_chaos_spec('solver=0.5:42'));"
+            "print([inj.decide('solver', f'cone{i}:1') for i in range(32)])"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -117,10 +125,10 @@ class TestGetInjector:
         assert get_injector() is None
 
     def test_cached_per_env_value(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "worker=0.5:1")
+        monkeypatch.setenv(CHAOS_ENV, "solver=0.5:1")
         first = get_injector()
         assert first is get_injector()  # counters persist
-        monkeypatch.setenv(CHAOS_ENV, "worker=0.5:2")
+        monkeypatch.setenv(CHAOS_ENV, "solver=0.5:2")
         assert get_injector() is not first  # new spec takes effect
         monkeypatch.delenv(CHAOS_ENV)
         assert get_injector() is None

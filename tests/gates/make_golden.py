@@ -39,13 +39,12 @@ def cache_keys(cache_dir: str) -> list[str]:
     return sorted(keys)
 
 
-def capture(name: str, jobs: int = 1) -> dict:
+def capture(name: str) -> dict:
     source = build_extended_benchmark(name)
     with tempfile.TemporaryDirectory() as tmp:
         net, _report = synthesize_with_report(
             prepare_tels(source),
             SynthesisOptions(psi=3, seed=0),
-            jobs=jobs,
             cache_dir=tmp,
         )
         stats = network_stats(net)

@@ -4,7 +4,7 @@
 Table-I bench subset as synthesized *before* the gate-model refactor:
 gate counts, areas, the sorted per-gate margin multiset, and the
 persistent NP-canonical cache keys.  Any drift under the default ``ltg``
-model — serial or parallel — means the refactor changed behavior it was
+model means the refactor changed behavior it was
 required to preserve.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -27,14 +28,13 @@ GOLDEN = json.loads(
 BENCH_SUBSET = tuple(sorted(GOLDEN))
 
 
-def capture(name: str, jobs: int = 1) -> dict:
+def capture(name: str) -> dict:
     """Mirror of ``make_golden.capture`` — same options, same shape."""
     source = build_extended_benchmark(name)
     with tempfile.TemporaryDirectory() as tmp:
         net, _report = synthesize_with_report(
             prepare_tels(source),
             SynthesisOptions(psi=3, seed=0),
-            jobs=jobs,
             cache_dir=tmp,
         )
         stats = network_stats(net)
@@ -63,10 +63,13 @@ def test_default_model_matches_seed(name):
 
 
 def test_parallel_run_matches_seed_too():
-    # Work distribution must not leak into results: two workers, same
+    # Work distribution must not leak into results: whole circuits in a
+    # two-process pool (the way ``run_suite(jobs=2)`` runs them), same
     # networks, same cache keys.
-    name = BENCH_SUBSET[0]
-    assert capture(name, jobs=2) == GOLDEN[name]
+    names = BENCH_SUBSET[:2]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        captured = list(pool.map(capture, names))
+    assert captured == [GOLDEN[name] for name in names]
 
 
 @pytest.mark.parametrize("name", BENCH_SUBSET)

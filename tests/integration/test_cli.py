@@ -88,15 +88,30 @@ class TestCommands:
         assert main(["synth", str(blif_file)]) == 0
         out = capsys.readouterr().out
         assert "checks:" in out and "cache hits" in out and "ILPs" in out
-        assert "engine:" in out and "backend=serial" in out
+        assert "engine:" in out and "gate model ltg" in out
         assert "passes: collapse" in out
         assert "slowest tasks:" in out
 
-    def test_synth_jobs_flag(self, blif_file, capsys):
-        assert main(["synth", str(blif_file), "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "verified=True" in out
-        assert "backend=process jobs=2" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "{blif}", "--jobs", "2"],
+            ["synth", "{blif}", "--distribute", "http://127.0.0.1:1"],
+            ["sweep", "--jobs", "2"],
+            ["cache", "warm", "--jobs", "2"],
+            ["bench", "--corpus", "small", "--jobs", "2"],
+            ["submit", "{blif}", "--jobs", "2"],
+            ["serve", "--lease-s", "5"],
+            ["worker"],
+        ],
+    )
+    def test_removed_parallel_flags_are_usage_errors(
+        self, blif_file, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(blif=blif_file) for a in argv])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCache:

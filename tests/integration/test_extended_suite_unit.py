@@ -1,17 +1,28 @@
 """Unit-level tests for the suite-sweep harness (tiny circuit subset)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.extended_suite import (
     SuiteSummary,
     format_suite,
+    resolve_jobs,
     run_suite,
 )
+
+TINY = ["majority", "z4ml", "tcon"]
 
 
 @pytest.fixture(scope="module")
 def tiny_summary():
-    return run_suite(["majority", "z4ml", "tcon"], psi=3, verify_vectors=128)
+    return run_suite(TINY, psi=3, verify_vectors=128)
+
+
+def _without_timings(row):
+    """A suite row minus its solver wall times (the only run-varying part)."""
+    check = replace(row.check_stats, exact_wall_s=0.0, scipy_wall_s=0.0)
+    return replace(row, check_stats=check)
 
 
 class TestRunSuite:
@@ -48,6 +59,21 @@ class TestRunSuite:
         text = format_suite(tiny_summary)
         assert "majority" in text
         assert "mean reduction" in text
+
+
+class TestJobPool:
+    """Whole circuits are the parallel unit: a pooled suite must match."""
+
+    def test_pooled_rows_equal_serial_rows(self, tiny_summary):
+        pooled = run_suite(TINY, psi=3, verify_vectors=128, jobs=2)
+        assert [_without_timings(r) for r in pooled.rows] == [
+            _without_timings(r) for r in tiny_summary.rows
+        ]
+
+    def test_resolve_jobs(self):
+        assert resolve_jobs(3) == 3
+        assert resolve_jobs(0) >= 1
+        assert resolve_jobs(None) == resolve_jobs(0)
 
 
 class TestEmptySummary:

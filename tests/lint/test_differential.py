@@ -41,17 +41,6 @@ class TestRandomNetworks:
         network, report = synthesize_with_report(source, options)
         assert_lint_clean(report, network, source, psi=3)
 
-    def test_parallel_run_lints_clean(self):
-        source = random_logic_network(
-            "lintpool", num_inputs=6, num_outputs=3, num_nodes=12, seed=99
-        )
-        options = SynthesisOptions(psi=3, seed=0)
-        network, report = synthesize_with_report(source, options, jobs=2)
-        assert_lint_clean(report, network, source, psi=3)
-        # The per-cone metrics carry the same invariant.
-        assert report.trace is not None
-        assert report.trace.total("lint_violations") == 0
-
     def test_cache_warm_run_lints_clean(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         source = random_logic_network(

@@ -157,6 +157,12 @@ class TestErrorPaths:
         payload = json.loads(err.value.read())
         assert "error" in payload
 
+    def test_jobs_field_is_an_unknown_field_400(self, client, small_blif):
+        with pytest.raises(ServeClientError) as err:
+            client._json("POST", "/jobs", {"blif": small_blif, "jobs": 2})
+        assert err.value.status == 400
+        assert "unknown field(s): jobs" in str(err.value)
+
     def test_missing_blif_field_is_400(self, client):
         with pytest.raises(ServeClientError) as err:
             client._json("POST", "/jobs", {"name": "nothing"})

@@ -145,6 +145,38 @@ class TestRecovery:
         finally:
             manager.shutdown()
 
+    def test_legacy_jobs_field_replays(self, tmp_path):
+        """Older journals store a per-request ``"jobs"`` cone-worker count
+        that the API now rejects; recovery drops that one key, so both the
+        finished and the interrupted job come back instead of failing as
+        unrecoverable."""
+        request = (
+            '{"blif":".model m\\n.inputs a b\\n.outputs y\\n'
+            '.names a b y\\n11 1\\n.end\\n","jobs":2,"name":"legacy",'
+            '"options":{},"use_cache":true}'
+        )
+        journal_file(tmp_path).write_text(
+            '{"format": "tels-jobs", "version": 1}\n'
+            '{"id":"j000007","request":' + request + ','
+            '"state":"queued","submitted_at":100.0,"t":100.0}\n'
+            '{"id":"j000008","request":' + request + ','
+            '"state":"queued","submitted_at":101.0,"t":101.0}\n'
+            '{"finished_at":102.0,"id":"j000008","result":{"verified":true},'
+            '"state":"done","t":102.0}\n'
+        )
+        manager = JobManager(journal_dir=str(tmp_path))
+        try:
+            done = manager.get("j000008")
+            assert done.state == "done"
+            assert done.result == {"verified": True}
+            self._wait(manager, "j000007")
+            replayed = manager.get("j000007")
+            assert replayed.state == "done"
+            assert replayed.request.name == "legacy"
+            assert replayed.result["verified"] is True
+        finally:
+            manager.shutdown()
+
     def test_unparseable_journaled_request_fails_cleanly(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.append(
