@@ -32,14 +32,10 @@ from repro.core.threshold import (
     ThresholdGate,
     ThresholdNetwork,
     WeightThresholdVector,
+    constant_threshold,
 )
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import equivalent_threshold_networks
-
-#: Zero-fanin constant vectors: ``<;0>`` fires on the empty sum
-#: (``0 >= 0``), ``<;1>`` never does.
-CONST_ONE = WeightThresholdVector((), 0)
-CONST_ZERO = WeightThresholdVector((), 1)
 
 
 @dataclass(frozen=True)
@@ -96,10 +92,11 @@ def _drop_fanin(gate: ThresholdGate, fanin: str) -> ThresholdGate:
 
 
 def _constant_gate(gate: ThresholdGate, value: int) -> ThresholdGate:
+    threshold = constant_threshold(bool(value), gate.delta_on)
     return dc_replace(
         gate,
         inputs=(),
-        vector=CONST_ONE if value else CONST_ZERO,
+        vector=WeightThresholdVector((), threshold),
     )
 
 

@@ -33,7 +33,11 @@ from repro.boolean.cover import Cover
 from repro.boolean.function import BooleanFunction
 from repro.boolean.minimize import minimize
 from repro.boolean.unate import syntactic_unateness, to_positive_unate
-from repro.core.threshold import GateVector, WeightThresholdVector
+from repro.core.threshold import (
+    GateVector,
+    WeightThresholdVector,
+    constant_threshold,
+)
 from repro.errors import CoverError
 from repro.ilp.backends import SolveInfo
 from repro.ilp.fastpath import FastpathStatus, fastpath_check
@@ -284,9 +288,13 @@ class ThresholdChecker:
         nvars = cover.nvars
         # Constants: vacuous threshold gates.
         if cover.is_zero():
-            return WeightThresholdVector((0,) * nvars, self.delta_on + 1)
+            return WeightThresholdVector(
+                (0,) * nvars, constant_threshold(False, self.delta_on)
+            )
         if cover.is_tautology():
-            return WeightThresholdVector((0,) * nvars, -self.delta_on if self.delta_on else 0)
+            return WeightThresholdVector(
+                (0,) * nvars, constant_threshold(True, self.delta_on)
+            )
         analysis = self._analysis(cover, canonical)
         if analysis is None:
             return None

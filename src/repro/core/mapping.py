@@ -11,7 +11,12 @@ ILP provides.
 from __future__ import annotations
 
 from repro.core.identify import ThresholdChecker
-from repro.core.threshold import ThresholdGate, ThresholdNetwork
+from repro.core.threshold import (
+    ThresholdGate,
+    ThresholdNetwork,
+    WeightThresholdVector,
+    constant_threshold,
+)
 from repro.errors import SynthesisError
 from repro.network.network import BooleanNetwork
 
@@ -41,10 +46,10 @@ def one_to_one_map(
     for node in network.topological_order():
         function = network.function(node).trimmed()
         if function.nvars == 0:
-            from repro.core.threshold import WeightThresholdVector
-
             value = not function.cover.is_zero()
-            vector = WeightThresholdVector((), 0 if value else 1 + delta_on)
+            vector = WeightThresholdVector(
+                (), constant_threshold(value, delta_on)
+            )
             result.add_gate(
                 ThresholdGate(node, (), vector, delta_on, delta_off)
             )

@@ -15,6 +15,7 @@ from repro.core.threshold import (
     ThresholdGate,
     ThresholdNetwork,
     WeightThresholdVector,
+    constant_threshold,
 )
 
 
@@ -134,7 +135,9 @@ def _propagate_constants(network: ThresholdNetwork) -> int:
             ThresholdGate(
                 name,
                 (),
-                WeightThresholdVector((), 0 if value else 1),
+                WeightThresholdVector(
+                    (), constant_threshold(value, gate.delta_on)
+                ),
                 gate.delta_on,
                 gate.delta_off,
             ),

@@ -23,6 +23,15 @@ from repro.boolean.function import BooleanFunction
 from repro.errors import NetworkError
 
 
+def constant_threshold(value: bool, delta_on: int) -> int:
+    """Threshold of a zero-weight gate that outputs the constant ``value``.
+
+    Every input point sums to 0.  Constant 1 puts ``T = -delta_on`` so the
+    sum clears T by the ON margin; constant 0 puts ``T = 1 + delta_on``.
+    """
+    return -delta_on if value else 1 + delta_on
+
+
 @dataclass(frozen=True)
 class WeightThresholdVector:
     """The vector ``<w1, ..., wl; T>`` defining a threshold function."""

@@ -29,6 +29,7 @@ from repro.core.threshold import (
     ThresholdGate,
     ThresholdNetwork,
     WeightThresholdVector,
+    constant_threshold,
     make_or_vector,
 )
 from repro.errors import SynthesisError
@@ -90,7 +91,9 @@ def _realize_output(
             ThresholdGate(
                 name,
                 (),
-                WeightThresholdVector((), 0 if value else 1),
+                WeightThresholdVector(
+                    (), constant_threshold(value, options.delta_on)
+                ),
                 options.delta_on,
                 options.delta_off,
             )

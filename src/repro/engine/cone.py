@@ -31,6 +31,7 @@ from repro.core.threshold import (
     GateVector,
     ThresholdGate,
     WeightThresholdVector,
+    constant_threshold,
 )
 from repro.engine.events import TaskMetrics, timed
 from repro.engine.tasks import TaskResult
@@ -504,7 +505,7 @@ class ConeSynthesizer:
         return name
 
     def _emit_constant(self, name: str, value: bool) -> None:
-        threshold = 0 if value else 1 + self.options.delta_on
+        threshold = constant_threshold(value, self.options.delta_on)
         gate = ThresholdGate(
             name,
             (),
