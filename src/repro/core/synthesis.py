@@ -77,12 +77,10 @@ class SynthesisOptions:
         use_presolve: run the ILP presolve reductions inside the solver
             stack (ablation knob).
         max_collapse_cubes: SOP size guard during collapsing.
-        lint: run the static lint post-pass — gate-local rules per cone,
-            the full structural+semantic rule set on the assembled network
-            (``repro.lint``); violation counts land in ``TaskMetrics`` /
-            ``EngineTrace`` and the report carries the ``LintReport``.
-        lint_rules: restrict the post-pass to these rule ids/prefixes
-            (None runs every source-free rule).
+        lint: run the static lint post-pass — the full structural and
+            semantic rule set, once, on the assembled network
+            (``repro.lint``); the violation count lands in ``EngineTrace``
+            and the report carries the ``LintReport``.
         analyze: run the whole-network dataflow analysis post-pass
             (``repro.analysis``): interval/don't-care fixpoints, verified
             redundancy candidates, and a robustness certificate.  Off by
@@ -115,7 +113,6 @@ class SynthesisOptions:
     max_weight: int | None = None
     max_collapse_cubes: int = 128
     lint: bool = True
-    lint_rules: tuple[str, ...] | None = None
     analyze: bool = False
     deadline_per_cone_s: float | None = None
     deadline_total_s: float | None = None

@@ -61,12 +61,8 @@ class TaskMetrics:
     transformed_hits: int = 0
     transform_rejects: int = 0
     solver_timeouts: int = 0
+    #: Always 0.0 (lint runs once, per network); perfbench still reads it.
     lint_s: float = 0.0
-    lint_violations: int = 0
-    #: Per-cone analysis metrics (margin slack over this cone's gates).
-    analysis_s: float = 0.0
-    analysis_min_slack: int | None = None
-    analysis_constant_gates: int = 0
     #: Runs this cone consumed (retries inflate this).
     attempts: int = 1
     #: True when the cone fell back to the one-to-one mapping.
@@ -112,21 +108,6 @@ class TaskMetrics:
                 "kway": self.kway_splits,
                 "and_factor": self.and_factor_splits,
                 "theorem2": self.theorem2_applications,
-            },
-        )
-        yield TaskEvent(
-            self.task_id,
-            "lint",
-            self.lint_s,
-            {"violations": self.lint_violations},
-        )
-        yield TaskEvent(
-            self.task_id,
-            "analysis",
-            self.analysis_s,
-            {
-                "min_slack": self.analysis_min_slack,
-                "constant_gates": self.analysis_constant_gates,
             },
         )
         yield TaskEvent(
@@ -282,9 +263,8 @@ class EngineTrace:
             )
         if self.network_lint_violations is not None:
             lines.append(
-                f"lint: {int(self.total('lint_violations'))} cone "
-                f"violations, {self.network_lint_violations} network "
-                f"violations ({self.total('lint_s') + self.network_lint_s:.3f}s)"
+                f"lint: {self.network_lint_violations} violations "
+                f"({self.network_lint_s:.3f}s)"
             )
         if self.analysis_removals is not None:
             slack = (
@@ -295,7 +275,7 @@ class EngineTrace:
             lines.append(
                 f"analysis: {self.analysis_removals} verified removal "
                 f"candidate(s), min margin slack {slack} "
-                f"({self.total('analysis_s') + self.network_analysis_s:.3f}s)"
+                f"({self.network_analysis_s:.3f}s)"
             )
         slow = [m for m in self.slowest(3) if m.wall_s > 0]
         if slow:

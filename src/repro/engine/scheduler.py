@@ -261,8 +261,8 @@ def run_synthesis(
     report.degraded_cones = len(degraded_records)
     report.degraded = tuple(degraded_records)
     if getattr(options, "lint", True):
-        # Static post-pass over the assembled network: the structural rules
-        # (cycles, dangling fanins, reachability) only make sense here.
+        # The engine's one lint pass, over the assembled network: the same
+        # call `tels lint` makes, structural and gate-local rules together.
         from repro.lint.diagnostics import LintOptions
         from repro.lint.runner import run_lint
 
@@ -270,7 +270,6 @@ def run_synthesis(
             result_net,
             LintOptions(
                 psi=options.psi,
-                rules=options.lint_rules,
                 gate_model=getattr(options, "gate_model", "ltg"),
             ),
         )

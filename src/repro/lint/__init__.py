@@ -11,7 +11,6 @@ equivalence).  See ``docs/LINT.md`` for the rule catalog.
 Entry points:
 
 * :func:`run_lint` — the library API (CLI, engine post-pass, experiments);
-* :func:`lint_gates` — gate-local subset the engine runs per cone;
 * :mod:`repro.lint.emitters` — text / JSON / SARIF 2.1.0 renderers.
 """
 
@@ -38,7 +37,7 @@ from repro.lint.rules import (
     parse_diagnostic,
     registered_rules,
 )
-from repro.lint.runner import lint_gates, run_lint, select_rules
+from repro.lint.runner import run_lint, select_rules
 
 __all__ = [
     "EXIT_CLEAN",
@@ -53,7 +52,6 @@ __all__ = [
     "format_sarif",
     "format_text",
     "get_rule",
-    "lint_gates",
     "parse_diagnostic",
     "registered_rules",
     "render",

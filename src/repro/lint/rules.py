@@ -18,9 +18,8 @@ Rule families:
 * ``TLP2xx`` **parse** — carriers for structured ``.thblif`` parse errors
   (raised by :mod:`repro.io.thblif`, surfaced as diagnostics by the CLI).
 
-Gate-local semantic checks are factored as plain generator functions so the
-engine's per-cone post-pass (:func:`repro.lint.runner.lint_gates`) can run
-them on a task's gate list before the network is even assembled.
+Gate-local semantic checks are factored as plain per-gate generator
+functions, each wrapped by one registered rule that loops over the network.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from repro.boolean.unate import Phase, semantic_unateness
+from repro.boolean import bitset
 from repro.core.threshold import (
     MultiThresholdVector,
     ThresholdGate,
@@ -270,10 +269,19 @@ def check_unreachable_gates(ctx: LintContext) -> Iterator[Diagnostic]:
     "No gate may exceed the fanin restriction ψ it was synthesized under.",
 )
 def check_fanin_overflow(ctx: LintContext) -> Iterator[Diagnostic]:
-    if ctx.options.psi is None:
+    psi = ctx.options.psi
+    if psi is None:
         return
     for gate in ctx.gates:
-        yield from check_gate_fanin(gate, ctx.options.psi, ctx)
+        if gate.fanin > psi:
+            yield _gate_diag(
+                "TLS005",
+                ctx,
+                gate,
+                f"gate {gate.name!r} has fanin {gate.fanin} > psi={psi}",
+                hint="re-synthesize the cone with the intended fanin "
+                "restriction",
+            )
 
 
 @rule(
@@ -350,31 +358,17 @@ def check_duplicate_fanins(ctx: LintContext) -> Iterator[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# Gate-local semantic checks (shared with the per-cone post-pass)
+# Gate-local semantic checks
 # ----------------------------------------------------------------------
 def _enumerable(gate: ThresholdGate, max_fanin: int) -> bool:
     return gate.fanin <= max_fanin
 
 
-def check_gate_fanin(
-    gate: ThresholdGate, psi: int, ctx: LintContext | None = None
-) -> Iterator[Diagnostic]:
-    if gate.fanin > psi:
-        yield _gate_diag(
-            "TLS005",
-            ctx,
-            gate,
-            f"gate {gate.name!r} has fanin {gate.fanin} > psi={psi}",
-            hint="re-synthesize the cone with the intended fanin "
-            "restriction",
-        )
-
-
 def check_gate_margins(
     gate: ThresholdGate,
     max_fanin: int,
-    ctx: LintContext | None = None,
-    model: GateModel | None = None,
+    ctx: LintContext,
+    model: GateModel,
 ) -> Iterator[Diagnostic]:
     """Recompute worst-case ON/OFF margins against the claimed tolerances.
 
@@ -389,10 +383,7 @@ def check_gate_margins(
     """
     if not _enumerable(gate, max_fanin):
         return
-    if model is not None:
-        on_margin, off_margin = model.gate_margins(gate)
-    else:
-        on_margin, off_margin = gate.margins()
+    on_margin, off_margin = model.gate_margins(gate)
     if on_margin is not None and on_margin < gate.delta_on:
         yield _gate_diag(
             "TLM101",
@@ -416,14 +407,16 @@ def check_gate_margins(
 
 
 def check_gate_weight_signs(
-    gate: ThresholdGate, max_fanin: int, ctx: LintContext | None = None
+    gate: ThresholdGate, max_fanin: int, ctx: LintContext
 ) -> Iterator[Diagnostic]:
-    """Weight signs must agree with the gate function's unateness.
+    """Every weighted input must be one the gate function depends on.
 
-    A threshold function is positive unate in every positive-weight input
-    and negative unate in every negative-weight input; an input whose
-    weight cannot change the output (semantically absent) is a redundant
-    connection, and a zero weight is a dead input outright.
+    A zero weight is a dead input outright; a nonzero weight on an input
+    the function ignores is redundant area.  A threshold function is
+    unate in every input, with the phase its weight's sign sets (positive
+    weight, positive unate), so the sign half of the rule holds by
+    construction and only the support is checked: one packed truth table,
+    two cofactors per input.
 
     Only the zero-weight check applies to multi-threshold gates: crossing
     a higher threshold can turn the output back *off*, so their functions
@@ -448,11 +441,9 @@ def check_gate_weight_signs(
         return
     if not isinstance(gate.vector, WeightThresholdVector):
         return  # multi-threshold gates are deliberately binate
-    report = semantic_unateness(gate.local_function().cover)
-    for name, weight, phase in zip(gate.inputs, gate.weights, report.phases):
-        if weight == 0:
-            continue  # already reported above
-        if phase is Phase.ABSENT:
+    support = bitset.table_support(gate.vector.table(), gate.fanin)
+    for var, (name, weight) in enumerate(zip(gate.inputs, gate.weights)):
+        if weight != 0 and not support & (1 << var):
             yield _gate_diag(
                 "TLM102",
                 ctx,
@@ -462,26 +453,10 @@ def check_gate_weight_signs(
                 hint="the weight is redundant area; re-solve the gate "
                 "without this input",
             )
-        elif weight > 0 and phase is Phase.NEGATIVE:
-            yield _gate_diag(
-                "TLM102",
-                ctx,
-                gate,
-                f"gate {gate.name!r} input {name!r}: positive weight "
-                f"{weight} but the function is negative unate in it",
-            )
-        elif weight < 0 and phase is Phase.POSITIVE:
-            yield _gate_diag(
-                "TLM102",
-                ctx,
-                gate,
-                f"gate {gate.name!r} input {name!r}: negative weight "
-                f"{weight} but the function is positive unate in it",
-            )
 
 
 def check_gate_threshold_bounds(
-    gate: ThresholdGate, ctx: LintContext | None = None
+    gate: ThresholdGate, ctx: LintContext
 ) -> Iterator[Diagnostic]:
     """The threshold must sit inside the bounds the weights imply.
 
@@ -539,7 +514,7 @@ def check_gate_threshold_bounds(
 
 
 def check_gate_delta_sanity(
-    gate: ThresholdGate, ctx: LintContext | None = None
+    gate: ThresholdGate, ctx: LintContext
 ) -> Iterator[Diagnostic]:
     if gate.delta_on < 0 or gate.delta_off < 0:
         yield _gate_diag(
@@ -564,8 +539,8 @@ def check_gate_delta_sanity(
 def check_gate_flash_grid(
     gate: ThresholdGate,
     model: GateModel,
-    max_fanin: int = 16,
-    ctx: LintContext | None = None,
+    max_fanin: int,
+    ctx: LintContext,
 ) -> Iterator[Diagnostic]:
     """Flash calibration audit: weights on the device grid, δ over drift.
 
@@ -623,32 +598,14 @@ def check_gate_flash_grid(
             )
 
 
-GATE_CHECKS: tuple[tuple[str, Callable], ...] = (
-    ("TLM101", check_gate_margins),
-    ("TLM102", check_gate_weight_signs),
-    ("TLM103", check_gate_threshold_bounds),
-    ("TLM104", check_gate_delta_sanity),
-)
-
-
 def _gate_diag(
     rule_id: str,
-    ctx: LintContext | None,
+    ctx: LintContext,
     gate: ThresholdGate,
     message: str,
     hint: str | None = None,
 ) -> Diagnostic:
-    spec = RULE_REGISTRY[rule_id]
-    if ctx is not None:
-        return ctx.diag(spec, message, gate=gate.name, hint=hint)
-    return Diagnostic(
-        rule_id=spec.rule_id,
-        severity=spec.severity,
-        message=message,
-        category=spec.category,
-        gate=gate.name,
-        hint=hint,
-    )
+    return ctx.diag(RULE_REGISTRY[rule_id], message, gate=gate.name, hint=hint)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ not ship silently.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.benchgen.random_logic import random_logic_network
@@ -96,13 +98,47 @@ class TestEngineWiring:
         )
         _, report = synthesize_with_report(source, SynthesisOptions(psi=3))
         summary = report.trace.format_summary()
-        assert "lint:" in summary
-        assert "0 network violations" in summary
+        assert "lint: 0 violations" in summary
 
-    def test_lint_events_emitted_per_task(self):
-        source = random_logic_network(
-            "lintev", num_inputs=5, num_outputs=2, num_nodes=8, seed=5
-        )
-        _, report = synthesize_with_report(source, SynthesisOptions(psi=3))
-        phases = {e.phase for e in report.trace.events()}
-        assert "lint" in phases
+
+def diagnostic_keys(report):
+    """(rule_id, severity, gate, net, message) rows, TLS006 as classes.
+
+    TLS006 names the first gate of each duplicate class in the network's
+    gate order: cone order in the assembled network, topological order in
+    a written file.  The classes themselves must agree.
+    """
+    rows = []
+    classes: dict[str, set[str]] = {}
+    for d in report.diagnostics:
+        if d.rule_id == "TLS006":
+            first = re.search(r"body of '(.+)' \(", d.message).group(1)
+            classes.setdefault(first, {first}).add(d.gate)
+        else:
+            rows.append((d.rule_id, d.severity, d.gate, d.net, d.message))
+    return rows, {frozenset(c) for c in classes.values()}
+
+
+@pytest.mark.parametrize(
+    "name, psi, gate_model",
+    [
+        ("parmix", 9, "ltg"),
+        ("parmix", 9, "multi-threshold"),
+        ("parmix", 9, "flash"),
+        ("cm152a", 3, "ltg"),
+    ],
+)
+def test_engine_lint_equals_standalone_lint(name, psi, gate_model):
+    """The engine's one lint pass is exactly what ``tels lint`` reports."""
+    from repro.benchgen.extended import build_extended_benchmark
+    from repro.io.thblif import parse_thblif, to_thblif
+    from repro.network.scripts import prepare_tels
+
+    source = prepare_tels(build_extended_benchmark(name))
+    options = SynthesisOptions(psi=psi, seed=0, gate_model=gate_model)
+    network, report = synthesize_with_report(source, options)
+    standalone = run_lint(
+        parse_thblif(to_thblif(network), validate=False),
+        LintOptions(psi=psi, gate_model=gate_model),
+    )
+    assert diagnostic_keys(report.lint) == diagnostic_keys(standalone)

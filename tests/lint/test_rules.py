@@ -16,7 +16,7 @@ from repro.core.threshold import (
 )
 from repro.lint.diagnostics import LintOptions, Severity
 from repro.lint.rules import RULE_REGISTRY, registered_rules
-from repro.lint.runner import lint_gates, run_lint
+from repro.lint.runner import run_lint
 
 
 def gate(
@@ -296,23 +296,27 @@ class TestSemanticRules:
         assert not rule_ids(run_lint(right, source=source), "TLM105")
 
 
+def lone(g: ThresholdGate) -> ThresholdNetwork:
+    """A one-gate network: the gate's fanins in, the gate out."""
+    return network(g.inputs, (g.name,), (g,))
+
+
 class TestLintGates:
-    """The engine's per-cone hook: gate-local rules over a bare list."""
+    """Gate-local rules through ``run_lint`` over one-gate networks."""
 
     def test_clean_gates(self):
-        assert lint_gates([and2("y")], psi=3) == ()
+        assert run_lint(lone(and2("y")), LintOptions(psi=3)).is_clean
 
     def test_fanin_overflow_and_margin(self):
-        gates = [
-            gate("wide", ("a", "b", "c", "d"), (1, 1, 1, 1), 4),
-            gate("stale", ("a", "b"), (1, 1), 2, 2, 1),
-        ]
-        found = lint_gates(gates, psi=3)
-        assert {d.rule_id for d in found} >= {"TLS005", "TLM101"}
+        wide = gate("wide", ("a", "b", "c", "d"), (1, 1, 1, 1), 4)
+        stale = gate("stale", ("a", "b"), (1, 1), 2, 2, 1)
+        assert rule_ids(run_lint(lone(wide), LintOptions(psi=3)), "TLS005")
+        assert rule_ids(run_lint(lone(stale), LintOptions(psi=3)), "TLM101")
 
     def test_rule_filter(self):
-        gates = [gate("stale", ("a", "b"), (1, 1), 2, 2, 1)]
-        assert lint_gates(gates, psi=3, rules=("TLS005",)) == ()
+        stale = lone(gate("stale", ("a", "b"), (1, 1), 2, 2, 1))
+        report = run_lint(stale, LintOptions(psi=3, rules=("TLS005",)))
+        assert report.diagnostics == ()
 
     def test_wide_gates_skip_enumeration(self):
         wide = gate(
@@ -324,8 +328,8 @@ class TestLintGates:
             1,
         )
         # 2**18 points would be enumerated otherwise; the cap skips them.
-        found = lint_gates([wide], max_enumeration_fanin=16)
-        assert not [d for d in found if d.rule_id == "TLM101"]
+        report = run_lint(lone(wide), LintOptions(max_enumeration_fanin=16))
+        assert not rule_ids(report, "TLM101")
 
 
 class TestReportShape:
@@ -434,10 +438,7 @@ class TestGateModelRouting:
         assert len(found) == 1
         assert "constant" in found[0].message
 
-    def test_lint_gates_threads_the_model(self):
-        from repro.lint.runner import lint_gates
-
-        diags = lint_gates([gate("y", ("a",), (9,), 5)], gate_model="flash")
-        assert any(d.rule_id == "TLM106" for d in diags)
-        diags = lint_gates([gate("y", ("a",), (9,), 5)])
-        assert not any(d.rule_id == "TLM106" for d in diags)
+    def test_run_lint_threads_the_model(self):
+        net = lone(gate("y", ("a",), (9,), 5))
+        assert rule_ids(self.flash_lint(net), "TLM106")
+        assert not rule_ids(run_lint(net), "TLM106")
