@@ -83,7 +83,6 @@ def run_bench(
                 "ilp_solves": check.ilp_solved,
                 "fastpath_hit_rate": round(check.fastpath_hit_rate, 4),
                 "exact_solve_wall_s": round(check.exact_wall_s, 4),
-                "scipy_solve_wall_s": round(check.scipy_wall_s, 4),
             }
         )
         totals.add(check)
@@ -236,9 +235,7 @@ def run_bench(
         "fastpath_negatives": totals.fastpath_negatives,
         "fastpath_misses": totals.fastpath_misses,
         "exact_solves": totals.exact_solves,
-        "scipy_solves": totals.scipy_solves,
         "exact_solve_wall_s": round(totals.exact_wall_s, 4),
-        "scipy_solve_wall_s": round(totals.scipy_wall_s, 4),
         "presolve_rows_removed": totals.presolve_rows_removed,
     }
 

@@ -1,12 +1,12 @@
-"""Ablation — ILP formulation and backend (DESIGN.md §6).
+"""Ablation — ILP formulation and exact-solver speed (DESIGN.md §6).
 
 Two studies:
 
 1. **Redundant-constraint elimination** (the paper's Section V-B trick of
    skipping don't-care positions): constraint counts with and without it,
    taken from the checker's instrumentation.
-2. **Backend**: pure-Python exact branch & bound vs scipy/HiGHS — identical
-   feasibility answers, different speed.
+2. **Solver speed**: the exact rational branch & bound on random unate
+   covers, cold and memoized.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.benchgen.extended import build_extended_benchmark
 from repro.boolean.cover import Cover
 from repro.core.identify import ThresholdChecker
 from repro.core.synthesis import SynthesisOptions, synthesize_with_report
-from repro.ilp.scipy_backend import have_scipy
 from repro.network.scripts import prepare_tels
 
 
@@ -65,31 +64,11 @@ def _random_unate_covers(count: int, seed: int = 0) -> list[Cover]:
     return covers
 
 
-def test_backends_agree_on_workload():
-    covers = _random_unate_covers(150)
-    exact = ThresholdChecker(backend="exact")
-    auto = ThresholdChecker(backend="auto")
-    for cover in covers:
-        assert (exact.check(cover) is None) == (auto.check(cover) is None)
-
-
-def test_benchmark_exact_backend(benchmark):
+def test_benchmark_exact_solver(benchmark):
     covers = _random_unate_covers(40, seed=1)
 
     def run():
-        checker = ThresholdChecker(backend="exact")
-        for cover in covers:
-            checker.check(cover)
-
-    benchmark(run)
-
-
-@pytest.mark.skipif(not have_scipy(), reason="scipy missing")
-def test_benchmark_scipy_backend(benchmark):
-    covers = _random_unate_covers(40, seed=1)
-
-    def run():
-        checker = ThresholdChecker(backend="scipy")
+        checker = ThresholdChecker()
         for cover in covers:
             checker.check(cover)
 
@@ -99,7 +78,7 @@ def test_benchmark_scipy_backend(benchmark):
 def test_benchmark_memoized_checks(benchmark):
     """Repeated identical checks: the cache path."""
     covers = _random_unate_covers(40, seed=1)
-    checker = ThresholdChecker(backend="exact")
+    checker = ThresholdChecker()
     for cover in covers:
         checker.check(cover)
 

@@ -43,29 +43,6 @@ from repro.io.thblif import (
 from repro.network.scripts import prepare_one_to_one, prepare_tels
 
 
-def _add_backend_args(parser: argparse.ArgumentParser) -> None:
-    from repro.ilp.backends import registered_backends
-
-    parser.add_argument(
-        "--ilp-backend",
-        "--backend",  # legacy alias
-        dest="ilp_backend",
-        default="auto",
-        choices=("auto", *registered_backends()),
-        help="ILP solver backend",
-    )
-    parser.add_argument(
-        "--no-fastpath",
-        action="store_true",
-        help="disable the Chow-parameter fast path (always solve the ILP)",
-    )
-    parser.add_argument(
-        "--no-presolve",
-        action="store_true",
-        help="disable the ILP presolve reductions",
-    )
-
-
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
@@ -112,7 +89,11 @@ def _add_synthesis_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta-on", type=int, default=0, help="ON tolerance")
     parser.add_argument("--delta-off", type=int, default=1, help="OFF tolerance")
     parser.add_argument("--seed", type=int, default=0, help="tie-break seed")
-    _add_backend_args(parser)
+    parser.add_argument(
+        "--no-fastpath",
+        action="store_true",
+        help="disable the Chow-parameter fast path (always solve the ILP)",
+    )
     _add_cache_args(parser)
     parser.add_argument(
         "--no-lint",
@@ -162,10 +143,8 @@ def _options(args: argparse.Namespace) -> SynthesisOptions:
         delta_on=args.delta_on,
         delta_off=args.delta_off,
         seed=args.seed,
-        backend=args.ilp_backend,
         gate_model=getattr(args, "gate_model", "ltg"),
         use_fastpath=not args.no_fastpath,
-        use_presolve=not args.no_presolve,
         lint=not getattr(args, "no_lint", False),
         analyze=getattr(args, "analyze", False),
         deadline_per_cone_s=getattr(args, "deadline_per_cone", None),
@@ -253,7 +232,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(
             f"solvers: exact {check.exact_solves} solves "
             f"{check.exact_wall_s:.3f}s, "
-            f"scipy {check.scipy_solves} solves {check.scipy_wall_s:.3f}s, "
             f"presolve removed {check.presolve_rows_removed} rows"
         )
     if report.trace is not None:
@@ -297,8 +275,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     network = read_blif(args.file)
     prepared = prepare_one_to_one(network, max_fanin=args.psi)
     threshold_net = one_to_one_map(
-        prepared, delta_on=args.delta_on, delta_off=args.delta_off,
-        backend=args.ilp_backend,
+        prepared, delta_on=args.delta_on, delta_off=args.delta_off
     )
     ok = verify_threshold_network(network, threshold_net)
     print(f"one-to-one: {network_stats(threshold_net)} verified={ok}")
@@ -552,7 +529,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         psi=args.psi,
         seed=args.seed,
         jobs=args.jobs,
-        backend=args.ilp_backend,
         cache_dir=_cache_dir(args),
         gate_model=getattr(args, "gate_model", "ltg"),
     )
@@ -837,10 +813,8 @@ def _api_options(args: argparse.Namespace) -> dict:
         "delta_on": args.delta_on,
         "delta_off": args.delta_off,
         "seed": args.seed,
-        "backend": args.ilp_backend,
         "gate_model": getattr(args, "gate_model", "ltg"),
         "use_fastpath": not args.no_fastpath,
-        "use_presolve": not args.no_presolve,
         "lint": not getattr(args, "no_lint", False),
         "deadline_per_cone_s": getattr(args, "deadline_per_cone", None),
         "deadline_total_s": getattr(args, "deadline_total", None),
@@ -1054,7 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     _add_gate_model_arg(p)
-    _add_backend_args(p)
     _add_cache_args(p)
     p.add_argument(
         "--jobs",

@@ -39,10 +39,9 @@ from repro.core.threshold import (
     constant_threshold,
 )
 from repro.errors import CoverError
-from repro.ilp.backends import SolveInfo
 from repro.ilp.fastpath import FastpathStatus, fastpath_check
 from repro.ilp.model import IlpProblem
-from repro.ilp.solve import solve_ilp_info
+from repro.ilp.solve import SolveInfo, solve_ilp_info
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep core below engine
     from repro.engine.resilience import Deadline
@@ -72,6 +71,7 @@ class CheckStats:
     presolve_rows_removed: int = 0
     solver_timeouts: int = 0
     exact_solves: int = 0
+    # scipy_*: always 0 (the exact solver is the only one); perfbench reads them.
     scipy_solves: int = 0
     exact_wall_s: float = 0.0
     scipy_wall_s: float = 0.0
@@ -118,7 +118,6 @@ class ThresholdChecker:
     Attributes:
         delta_on: ON-side defect tolerance (paper default 0).
         delta_off: OFF-side defect tolerance (paper default 1).
-        backend: ILP backend passed to :func:`repro.ilp.solve.solve_ilp`.
         minimize_cover: run espresso-lite before checking, which both
             canonicalizes the cover (unique irredundant prime cover for a
             unate function) and exposes semantic unateness that a redundant
@@ -131,8 +130,6 @@ class ThresholdChecker:
             (:mod:`repro.ilp.fastpath`) before formulating an ILP.  Only
             attempted on minimized covers (the fast path's weight lower
             bound requires every support variable to be essential).
-        use_presolve: run the :mod:`repro.ilp.presolve` reductions inside
-            the solver stack (ablation knob).
         gate_model: name of the :class:`~repro.gates.base.GateModel`
             backend deciding representation and feasibility; ``"ltg"`` is
             the paper's single-threshold gate and keeps the historical
@@ -143,18 +140,17 @@ class ThresholdChecker:
         deadline: optional :class:`~repro.engine.resilience.Deadline`;
             when set, every :meth:`check` first verifies the budget (raising
             :class:`~repro.errors.DeadlineExceeded` cooperatively) and the
-            remaining time is forwarded to the solver stack as its
-            wall-clock limit, so one slow ILP cannot blow through a
-            per-cone budget unnoticed.
+            remaining time is forwarded to the solver as its wall-clock
+            limit, so one slow ILP cannot blow through a per-cone budget
+            unnoticed.  A verdict from a solve cut short by that limit is
+            returned but never stored: it is declared, not proven.
     """
 
     delta_on: int = 0
     delta_off: int = 1
-    backend: str = "auto"
     minimize_cover: bool = True
     max_weight: int | None = None
     use_fastpath: bool = True
-    use_presolve: bool = True
     gate_model: str = "ltg"
     stats: CheckStats = field(default_factory=CheckStats)
     store: "ResultStore | None" = field(default=None, repr=False)
@@ -178,10 +174,8 @@ class ThresholdChecker:
         return cls(
             delta_on=options.delta_on,
             delta_off=options.delta_off,
-            backend=options.backend,
             max_weight=options.max_weight,
             use_fastpath=getattr(options, "use_fastpath", True),
-            use_presolve=getattr(options, "use_presolve", True),
             gate_model=getattr(options, "gate_model", "ltg"),
             store=store,
         )
@@ -223,8 +217,10 @@ class ThresholdChecker:
         if not store.is_miss(found):
             self.stats.cache_hits += 1
             return found
+        timeouts = self.stats.solver_timeouts
         result = model.check_cover(self, cover, canonical)
-        store.put_vector(key, result)
+        if self.stats.solver_timeouts == timeouts:
+            store.put_vector(key, result)
         return result
 
     def solve_ltg(
@@ -329,11 +325,7 @@ class ThresholdChecker:
             self.deadline.remaining() if self.deadline is not None else None
         )
         result, info = solve_ilp_info(
-            problem,
-            backend=self.backend,
-            presolve=self.use_presolve,
-            warm_start=warm_start,
-            timeout_s=timeout_s,
+            problem, warm_start=warm_start, timeout_s=timeout_s
         )
         self._record_solve(info)
         if not result.is_optimal:
@@ -344,11 +336,9 @@ class ThresholdChecker:
         )
 
     def _record_solve(self, info: SolveInfo) -> None:
-        """Fold one dispatch-layer SolveInfo into the counters."""
-        self.stats.exact_solves += info.solves_for("exact")
-        self.stats.scipy_solves += info.solves_for("scipy")
-        self.stats.exact_wall_s += info.wall_for("exact")
-        self.stats.scipy_wall_s += info.wall_for("scipy")
+        """Fold one solve's telemetry into the counters."""
+        self.stats.exact_solves += info.solves
+        self.stats.exact_wall_s += info.wall_s
         if info.presolve is not None:
             self.stats.presolve_rows_removed += info.presolve.rows_removed
         if info.timed_out:
@@ -450,7 +440,6 @@ def is_threshold_function(
     function: BooleanFunction | Cover,
     delta_on: int = 0,
     delta_off: int = 1,
-    backend: str = "auto",
     max_weight: int | None = None,
     store: "ResultStore | None" = None,
     cache_dir: str | None = None,
@@ -481,7 +470,6 @@ def is_threshold_function(
     checker = ThresholdChecker(
         delta_on=delta_on,
         delta_off=delta_off,
-        backend=backend,
         max_weight=max_weight,
         gate_model=gate_model,
         store=store,

@@ -25,7 +25,6 @@ def one_to_one_map(
     network: BooleanNetwork,
     delta_on: int = 0,
     delta_off: int = 1,
-    backend: str = "auto",
     checker: ThresholdChecker | None = None,
 ) -> ThresholdNetwork:
     """Replace every Boolean gate with a single threshold gate.
@@ -35,9 +34,7 @@ def one_to_one_map(
     gates); a non-threshold node raises :class:`SynthesisError` naming it.
     """
     if checker is None:
-        checker = ThresholdChecker(
-            delta_on=delta_on, delta_off=delta_off, backend=backend
-        )
+        checker = ThresholdChecker(delta_on=delta_on, delta_off=delta_off)
     result = ThresholdNetwork(network.name + "_1to1")
     for pi in network.inputs:
         result.add_input(pi)

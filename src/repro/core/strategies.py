@@ -51,7 +51,7 @@ def make_splitter(
     ``options`` (a :class:`~repro.core.synthesis.SynthesisOptions`) is an
     alternative way to configure the oracle-backed strategies: it supplies
     ``psi`` and, when no ``checker`` is passed, a checker built with the
-    run's ILP backend / tolerance / fast-path configuration.
+    run's tolerance / fast-path configuration.
     """
     if options is not None:
         psi = options.psi

@@ -52,7 +52,6 @@ class SynthesisOptions:
         psi: fanin restriction ψ on every threshold gate (paper uses 3-8).
         delta_on / delta_off: defect tolerances in Eq. (1); the paper's
             experiments use ``delta_on`` in 0..3 and ``delta_off`` = 1.
-        backend: ILP backend (``auto`` / ``exact`` / ``scipy``).
         seed: RNG seed for the random tie-breaks of splitting rule 4.  Each
             cone task derives its own ``random.Random("{seed}:{task_id}")``
             stream, so results do not depend on the order cones run in.
@@ -74,8 +73,6 @@ class SynthesisOptions:
             drift-derived tolerances.
         use_fastpath: resolve threshold checks with the Chow-parameter fast
             path before formulating an ILP (ablation knob).
-        use_presolve: run the ILP presolve reductions inside the solver
-            stack (ablation knob).
         max_collapse_cubes: SOP size guard during collapsing.
         lint: run the static lint post-pass — the full structural and
             semantic rule set, once, on the assembled network
@@ -101,7 +98,6 @@ class SynthesisOptions:
     psi: int = 3
     delta_on: int = 0
     delta_off: int = 1
-    backend: str = "auto"
     seed: int = 0
     apply_theorem2: bool = True
     preserve_sharing: bool = True
@@ -109,7 +105,6 @@ class SynthesisOptions:
     splitting_strategy: str = "paper"
     gate_model: str = "ltg"
     use_fastpath: bool = True
-    use_presolve: bool = True
     max_weight: int | None = None
     max_collapse_cubes: int = 128
     lint: bool = True

@@ -43,7 +43,6 @@ class TwoLevelOptions:
 
     delta_on: int = 0
     delta_off: int = 1
-    backend: str = "auto"
     max_fanin: int = 0  # 0 = unbounded gates (classic two-level setting)
     max_cubes: int = 256  # flattening guard
 
@@ -54,9 +53,7 @@ def synthesize_two_level(
     """Flatten each output and realize it as threshold parts + OR root."""
     options = options or TwoLevelOptions()
     checker = ThresholdChecker(
-        delta_on=options.delta_on,
-        delta_off=options.delta_off,
-        backend=options.backend,
+        delta_on=options.delta_on, delta_off=options.delta_off
     )
     flat = collapse_network(network)
     result = ThresholdNetwork(network.name + "_2lvl")

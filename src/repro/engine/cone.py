@@ -130,9 +130,7 @@ class ConeSynthesizer:
         self.metrics.fastpath_negatives = delta.fastpath_negatives
         self.metrics.fastpath_misses = delta.fastpath_misses
         self.metrics.exact_solves = delta.exact_solves
-        self.metrics.scipy_solves = delta.scipy_solves
         self.metrics.exact_wall_s = delta.exact_wall_s
-        self.metrics.scipy_wall_s = delta.scipy_wall_s
         self.metrics.presolve_rows_removed = delta.presolve_rows_removed
         self.metrics.solver_timeouts = delta.solver_timeouts
         if store_before is not None and self.checker.store is not None:

@@ -52,9 +52,7 @@ class TaskMetrics:
     fastpath_negatives: int = 0
     fastpath_misses: int = 0
     exact_solves: int = 0
-    scipy_solves: int = 0
     exact_wall_s: float = 0.0
-    scipy_wall_s: float = 0.0
     presolve_rows_removed: int = 0
     persistent_hits: int = 0
     persistent_misses: int = 0
@@ -91,7 +89,6 @@ class TaskMetrics:
                 "fastpath_negatives": self.fastpath_negatives,
                 "fastpath_misses": self.fastpath_misses,
                 "exact_solves": self.exact_solves,
-                "scipy_solves": self.scipy_solves,
                 "presolve_rows_removed": self.presolve_rows_removed,
                 "persistent_hits": self.persistent_hits,
                 "persistent_misses": self.persistent_misses,
@@ -240,8 +237,6 @@ class EngineTrace:
         lines += [
             f"solvers: exact {int(self.total('exact_solves'))} solves "
             f"{self.total('exact_wall_s'):.3f}s, "
-            f"scipy {int(self.total('scipy_solves'))} solves "
-            f"{self.total('scipy_wall_s'):.3f}s, "
             f"presolve removed {int(self.total('presolve_rows_removed'))} rows",
         ]
         if self.total("persistent_hits") or self.total("persistent_misses"):

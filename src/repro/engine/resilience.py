@@ -4,7 +4,7 @@ Three concerns live here, all consumed by the scheduler:
 
 * **Deadlines** — :class:`Deadline` is a monotonic budget checked
   cooperatively inside the cone loop and the threshold checker (which also
-  forwards the remaining time to the ILP backends as a solver time limit).
+  forwards the remaining time to the ILP solver as its time limit).
 
 * **Policy** — :class:`ResiliencePolicy` holds the scheduler's knobs: a
   cone whose deadline expires degrades at once, and a cone raising a
@@ -160,7 +160,6 @@ def fallback_cone_gates(
         checker = ThresholdChecker(
             delta_on=options.delta_on,
             delta_off=options.delta_off,
-            backend=options.backend,
             max_weight=options.max_weight,
             gate_model=getattr(options, "gate_model", "ltg"),
         )

@@ -34,7 +34,8 @@ class CoverError(ReproError):
 
 
 class IlpError(ReproError):
-    """Raised when an ILP model is malformed or a backend misbehaves."""
+    """Raised when an ILP model is malformed or a solver answer fails
+    verification."""
 
 
 class UnboundedError(IlpError):
@@ -64,8 +65,8 @@ class SynthesisCancelled(ReproError):
 
 
 class TransientError(ReproError):
-    """A failure worth retrying: cache I/O hiccup, injected chaos fault,
-    or a solver backend error that is not a property of the model."""
+    """A failure worth retrying: a cache I/O hiccup or an injected chaos
+    fault — anything that is not a property of the model."""
 
 
 class ChaosError(ReproError):

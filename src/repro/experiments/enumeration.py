@@ -95,7 +95,6 @@ def count_positive_unate_threshold(
     nvars: int,
     full_support: bool = True,
     include_constants: bool = False,
-    backend: str = "auto",
 ) -> EnumerationResult:
     """Count positive-unate permutation classes and how many are threshold.
 
@@ -106,9 +105,8 @@ def count_positive_unate_threshold(
             (the paper's convention).
         include_constants: also count the two constants (only meaningful
             with ``full_support=False``).
-        backend: ILP backend for the threshold checks.
     """
-    checker = ThresholdChecker(backend=backend)
+    checker = ThresholdChecker()
     seen: set[tuple] = set()
     unate = threshold = 0
     for bits in monotone_functions(nvars):

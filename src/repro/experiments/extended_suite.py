@@ -118,7 +118,6 @@ def _run_one(
     psi: int,
     seed: int,
     verify_vectors: int,
-    backend: str = "auto",
     cache_dir: str | None = None,
     gate_model: str = "ltg",
 ) -> SuiteRow:
@@ -127,9 +126,7 @@ def _run_one(
     one_net = one_to_one_map(prepare_one_to_one(source, max_fanin=psi))
     tels_net, report = synthesize_with_report(
         prepare_tels(source),
-        SynthesisOptions(
-            psi=psi, seed=seed, backend=backend, gate_model=gate_model
-        ),
+        SynthesisOptions(psi=psi, seed=seed, gate_model=gate_model),
         cache_dir=cache_dir,
     )
     verified = verify_threshold_network(
@@ -177,7 +174,6 @@ def run_suite(
     seed: int = 0,
     verify_vectors: int = 512,
     jobs: int = 1,
-    backend: str = "auto",
     cache_dir: str | None = None,
     gate_model: str = "ltg",
 ) -> SuiteSummary:
@@ -185,19 +181,17 @@ def run_suite(
 
     With ``jobs > 1`` whole benchmarks are dispatched across a process pool
     (the sweep is embarrassingly parallel); row order — and every synthesized
-    network — is identical to a serial run.  ``backend`` selects the ILP
-    solver backend for the TELS flow.  ``cache_dir`` points every run at the
-    same persistent synthesis cache; loads are corruption-tolerant and each
-    benchmark flushes only its new entries, so concurrent rows stay safe.
+    network — is identical to a serial run.  ``cache_dir`` points every run
+    at the same persistent synthesis cache; loads are corruption-tolerant and
+    each benchmark flushes only its new entries, so concurrent rows stay
+    safe.
     ``gate_model`` selects the :mod:`repro.gates` backend the TELS flow
     synthesizes for (the one-to-one baseline always maps to plain LTGs).
     """
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(names) <= 1:
         rows = [
-            _run_one(
-                n, psi, seed, verify_vectors, backend, cache_dir, gate_model
-            )
+            _run_one(n, psi, seed, verify_vectors, cache_dir, gate_model)
             for n in names
         ]
         return SuiteSummary(tuple(rows))
@@ -211,7 +205,6 @@ def run_suite(
                 psi,
                 seed,
                 verify_vectors,
-                backend,
                 cache_dir,
                 gate_model,
             )
@@ -249,8 +242,7 @@ def format_suite(summary: SuiteSummary) -> str:
             f"{totals.fastpath_misses} misses "
             f"({100.0 * totals.fastpath_hit_rate:.1f}% without ILP); "
             f"solvers: exact {totals.exact_solves} "
-            f"({totals.exact_wall_s:.3f}s), "
-            f"scipy {totals.scipy_solves} ({totals.scipy_wall_s:.3f}s)"
+            f"({totals.exact_wall_s:.3f}s)"
         )
     if summary.degraded_cones:
         lines.append(

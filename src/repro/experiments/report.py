@@ -376,8 +376,8 @@ def generate(full: bool) -> str:
         "  splitting (Theorem-1 motivation);",
         "* **Theorem-2 combining** — on/off gate and area deltas plus",
         "  application counts;",
-        "* **ILP** — redundant-constraint elimination counts and exact vs",
-        "  HiGHS backend agreement/speed;",
+        "* **ILP** — redundant-constraint elimination counts and exact",
+        "  solver speed (cold and memoized);",
         "* **Sharing preservation** — fanout-barrier on/off.",
         "",
         f"_Generated in {time.time() - started:.1f}s"

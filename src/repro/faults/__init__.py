@@ -1,8 +1,7 @@
 """Deterministic fault injection and retry primitives.
 
 ``repro.faults`` is a leaf package (stdlib only) so every layer — the
-engine, the ILP dispatch, the persistent cache — can import it without
-cycles.  The chaos harness lives in :mod:`repro.faults.injector`; the
+engine, the persistent cache — can import it without cycles.  The chaos harness lives in :mod:`repro.faults.injector`; the
 bounded-backoff retry helpers in :mod:`repro.faults.retry`.
 """
 

@@ -2,13 +2,11 @@
 
 Faults are enabled through the ``TELS_CHAOS`` environment variable::
 
-    TELS_CHAOS="solver=0.15,solver-wrong=0.1,cache=0.1:42"
+    TELS_CHAOS="cache=0.1,cache-corrupt=0.05:42"
 
 i.e. a comma-separated list of ``site=rate`` pairs followed by an optional
 ``:seed`` (default 0).  Sites:
 
-* ``solver``       — the float (scipy) solver attempt reports a timeout;
-* ``solver-wrong`` — the float solver attempt returns a wrong status/point;
 * ``cache``        — a persistent-cache write raises ``OSError``;
 * ``cache-corrupt``— a torn garbage line is appended after a cache flush.
 
@@ -21,9 +19,9 @@ what makes chaos runs reproducible and lets the tests assert exact recovery
 behaviour per seed.
 
 Injection is only ever *additive* noise on recoverable paths — the exact
-ILP backend, the verification chain, and the one-to-one degradation target
-are never perturbed, so a chaos run must still produce a functionally
-equivalent network (the differential tests check exactly that).
+ILP solver and the one-to-one degradation target are never perturbed, so
+a chaos run must still produce a functionally equivalent network (the
+differential tests check exactly that).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ CHAOS_ENV = "TELS_CHAOS"
 
 #: Every site the harness knows; unknown sites in a spec are an error so a
 #: typo cannot silently disable a whole chaos campaign.
-KNOWN_SITES = frozenset({"solver", "solver-wrong", "cache", "cache-corrupt"})
+KNOWN_SITES = frozenset({"cache", "cache-corrupt"})
 
 
 @dataclass(frozen=True)

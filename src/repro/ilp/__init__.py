@@ -7,18 +7,17 @@ provides:
 * :mod:`repro.ilp.model` — a tiny declarative model (:class:`IlpProblem`);
 * :mod:`repro.ilp.simplex` — an exact rational two-phase simplex;
 * :mod:`repro.ilp.branch_bound` — branch & bound on top of the simplex;
-* :mod:`repro.ilp.scipy_backend` — optional HiGHS backend via
-  :func:`scipy.optimize.milp`;
-* :func:`repro.ilp.solve.solve_ilp` — the backend dispatcher.
+* :mod:`repro.ilp.presolve` — exactness-preserving model reductions;
+* :func:`repro.ilp.solve.solve_ilp` — presolve, then branch & bound, then
+  verification of the answer against the original model.
 
-The pure-Python path is exact (Fraction arithmetic, no tolerance tuning) and
-has no dependencies; HiGHS is faster on larger models.  Both return identical
-feasibility answers on the paper's workloads — an ablation benchmark
-(`benchmarks/test_ablation_ilp.py`) checks exactly that.
+The solver is exact (Fraction arithmetic, no tolerance tuning) and has no
+dependencies, so every answer — feasible weights or "not threshold" — is
+proven, not estimated.
 """
 
 from repro.ilp.model import Constraint, IlpProblem, IlpResult, Sense, Status
-from repro.ilp.solve import available_backends, solve_ilp
+from repro.ilp.solve import solve_ilp
 
 __all__ = [
     "Constraint",
@@ -26,6 +25,5 @@ __all__ = [
     "IlpResult",
     "Sense",
     "Status",
-    "available_backends",
     "solve_ilp",
 ]

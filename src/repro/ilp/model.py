@@ -2,9 +2,8 @@
 
 An :class:`IlpProblem` is a minimization over non-negative variables with
 linear constraints.  Coefficients may be ints, Fractions, or floats (floats
-are converted to Fractions exactly).  The model is backend-agnostic: the
-pure-Python simplex/branch-and-bound and the scipy/HiGHS backend both consume
-it unchanged.
+are converted to Fractions exactly).  The presolve pass and the exact
+simplex/branch-and-bound both consume it unchanged.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Presolve layer: model reductions applied before any backend runs.
+"""Presolve layer: model reductions applied before the solver runs.
 
 Every reduction here is *exactness-preserving* for minimization over
 ``x >= 0``: the reduced problem has the same feasible set and the same
-optimal objective as the input, so any backend may consume the reduced
+optimal objective as the input, so the solver may consume the reduced
 model and its answer maps back unchanged.  Three reductions are applied:
 
 * **duplicate elimination** — syntactically identical rows collapse to one;

@@ -1,55 +1,32 @@
-"""The layered dispatch for ILP solving: presolve → backend → verify.
-
-``backend`` choices:
-
-* ``"exact"`` — pure-Python rational simplex + branch & bound (always
-  available, exact feasibility);
-* ``"scipy"`` — HiGHS via scipy (fast, float-based, re-verified);
-* ``"auto"`` (default) — scipy when importable, with a *verification
-  chain*: a scipy OPTIMAL is rounded to integers and re-checked against
-  every constraint of the original model (falling back to the exact solver
-  on any violation), and a scipy INFEASIBLE is re-proved by the exact
-  solver before being trusted, because threshold identification treats
-  infeasibility as a *semantic* answer;
-* any other registered name — see :mod:`repro.ilp.backends`.
+"""ILP solving: presolve → exact branch & bound → verify.
 
 Every call runs the exactness-preserving :mod:`repro.ilp.presolve` pass
 first (duplicate/dominated-row elimination, bound consolidation), and when
 the reduced model still has interchangeable variables, a symmetry-collapsed
-pre-solve supplies the exact backend with a warm-start incumbent.
-:func:`solve_ilp_info` returns the result together with a
-:class:`~repro.ilp.backends.SolveInfo` record (per-backend attempts, wall
-times, presolve effect, verification outcome) for the telemetry pipeline.
+pre-solve supplies the branch & bound with a warm-start incumbent.  The
+reduced model is then solved by the exact rational branch & bound
+(:func:`repro.ilp.branch_bound.solve_bb`), and an OPTIMAL point is
+re-verified against the *original* model, which also guards the presolve
+reductions themselves.  :func:`solve_ilp_info` returns the result together
+with a :class:`SolveInfo` record for the telemetry pipeline.
 """
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.errors import IlpError
-from repro.faults.injector import get_injector
-from repro.ilp.backends import (
-    SolveAttempt,
-    SolveInfo,
-    available_backends,
-    get_backend,
-    registered_backends,
-    timed_solve,
-)
-from repro.ilp.branch_bound import verify_integral_solution
+from repro.ilp.branch_bound import solve_bb, verify_integral_solution
 from repro.ilp.model import IlpProblem, IlpResult, Status
 from repro.ilp.presolve import (
+    PresolveInfo,
     collapse_symmetric,
     expand_solution,
     presolve as run_presolve,
 )
 
-__all__ = [
-    "available_backends",
-    "registered_backends",
-    "solve_ilp",
-    "solve_ilp_info",
-]
+__all__ = ["SolveInfo", "solve_ilp", "solve_ilp_info"]
 
 #: Node budget for the symmetry-collapsed incumbent pre-solve; the collapsed
 #: model is strictly smaller, so a small budget is enough and a blown budget
@@ -57,35 +34,40 @@ __all__ = [
 _COLLAPSE_NODE_LIMIT = 200
 
 
-def _round_to_integral(
-    problem: IlpProblem, result: IlpResult
-) -> IlpResult | None:
-    """Round integer variables and re-verify against the model.
+@dataclass
+class SolveInfo:
+    """Telemetry for one :func:`solve_ilp_info` call.
 
-    Returns the verified (possibly repaired) result, or None when the
-    rounded point violates a constraint — the caller then falls back.
+    Attributes:
+        solves: branch & bound runs, counting the symmetry-collapsed
+            warm-start pre-solve (0 when presolve settled the model).
+        wall_s: wall time spent in those runs.
+        presolve: what the presolve pass did, or None when disabled.
+        timed_out: the solve was cut short by ``timeout_s``, so its answer
+            is declared rather than proven.
     """
-    assert result.values is not None
-    values = []
-    for j, v in enumerate(result.values):
-        values.append(Fraction(round(v)) if problem.integer[j] else v)
-    values_t = tuple(values)
-    if not problem.is_feasible_point(values_t):
-        return None
-    return IlpResult(
-        Status.OPTIMAL,
-        problem.objective_value(values_t),
-        values_t,
-        limit_hit=result.limit_hit,
-    )
+
+    solves: int = 0
+    wall_s: float = 0.0
+    presolve: PresolveInfo | None = None
+    timed_out: bool = False
+
+    def run(self, problem: IlpProblem, **kwargs) -> IlpResult:
+        """One timed :func:`solve_bb` call, folded into the record."""
+        started = time.perf_counter()
+        result = solve_bb(problem, **kwargs)
+        self.solves += 1
+        self.wall_s += time.perf_counter() - started
+        self.timed_out = self.timed_out or result.timed_out
+        return result
 
 
-def _exact_warm_start(
+def _warm_start(
     problem: IlpProblem,
     info: SolveInfo,
     warm_start: tuple[Fraction, ...] | None,
 ) -> tuple[Fraction, ...] | None:
-    """A warm-start incumbent for the exact backend.
+    """A warm-start incumbent for the branch & bound.
 
     A caller-supplied candidate wins; otherwise, when presolve found
     interchangeable variables, solve the symmetry-collapsed model (strictly
@@ -100,19 +82,7 @@ def _exact_warm_start(
     collapse = collapse_symmetric(problem, info.presolve.symmetry_classes)
     if collapse is None or collapse.problem.num_vars >= problem.num_vars:
         return None
-    from repro.ilp.branch_bound import solve_bb
-
-    import time
-
-    started = time.perf_counter()
-    reduced = solve_bb(collapse.problem, node_limit=_COLLAPSE_NODE_LIMIT)
-    info.attempts.append(
-        SolveAttempt(
-            backend="exact",
-            status=reduced.status,
-            wall_s=time.perf_counter() - started,
-        )
-    )
+    reduced = info.run(collapse.problem, node_limit=_COLLAPSE_NODE_LIMIT)
     if not reduced.is_optimal or reduced.limit_hit:
         return None
     expanded = expand_solution(collapse, reduced.values)
@@ -121,34 +91,23 @@ def _exact_warm_start(
     return expanded
 
 
-def _problem_key(problem: IlpProblem) -> str:
-    """A content string for chaos keying: stable across processes/orders."""
-    parts = [str(problem.num_vars)]
-    for con in problem.constraints:
-        coeffs = ",".join(str(c) for c in con.coefficients)
-        parts.append(f"{con.sense.value}{con.rhs}:{coeffs}")
-    return "|".join(parts)
-
-
 def solve_ilp_info(
     problem: IlpProblem,
-    backend: str = "auto",
     *,
     presolve: bool = True,
     warm_start: tuple[Fraction, ...] | None = None,
     timeout_s: float | None = None,
 ) -> tuple[IlpResult, SolveInfo]:
-    """Solve an ILP and report structured per-solve telemetry.
+    """Solve an ILP exactly and report per-solve telemetry.
 
     Args:
         problem: the model (left untouched; presolve works on a copy).
-        backend: registered backend name, or ``"auto"``.
-        presolve: run the reduction pass before any backend.
+        presolve: run the reduction pass before the branch & bound.
         warm_start: a candidate point (full variable space) used as the
-            exact backend's starting incumbent when feasible.
-        timeout_s: best-effort wall-clock budget forwarded to every backend
-            attempt; a solve cut short reports ``timed_out`` in its attempt
-            record and is treated as a declared (not proven) answer.
+            starting incumbent when feasible.
+        timeout_s: wall-clock budget for the branch & bound; a solve cut
+            short reports ``timed_out`` and its answer is declared, not
+            proven.
     """
     info = SolveInfo()
     reduced = problem
@@ -156,159 +115,25 @@ def solve_ilp_info(
         reduced, pinfo = run_presolve(problem)
         info.presolve = pinfo
         if pinfo.infeasible:
-            info.backend = "presolve"
-            info.status = Status.INFEASIBLE
-            info.verified = True
             return IlpResult(Status.INFEASIBLE), info
-
-    if backend == "auto":
-        result = _solve_auto(problem, reduced, info, warm_start, timeout_s)
-    elif backend == "exact":
-        result = _solve_exact(problem, reduced, info, warm_start, timeout_s)
-    else:
-        result = _solve_named(
-            problem, reduced, info, backend, warm_start, timeout_s
-        )
-    info.status = result.status
-    return result, info
-
-
-def _solve_exact(
-    problem: IlpProblem,
-    reduced: IlpProblem,
-    info: SolveInfo,
-    warm_start: tuple[Fraction, ...] | None,
-    timeout_s: float | None = None,
-) -> IlpResult:
-    incumbent = _exact_warm_start(reduced, info, warm_start)
-    result, attempt = timed_solve(
-        get_backend("exact"), reduced, warm_start=incumbent,
-        timeout_s=timeout_s,
+    incumbent = _warm_start(reduced, info, warm_start)
+    result = info.run(
+        reduced, incumbent_values=incumbent, time_limit_s=timeout_s
     )
-    info.attempts.append(attempt)
-    info.backend = "exact"
-    # Verify against the ORIGINAL model: this also guards the presolve
-    # reductions themselves, not just the backend.
     verify_integral_solution(problem, result)
-    info.verified = True
-    return result
-
-
-def _solve_named(
-    problem: IlpProblem,
-    reduced: IlpProblem,
-    info: SolveInfo,
-    backend: str,
-    warm_start: tuple[Fraction, ...] | None,
-    timeout_s: float | None = None,
-) -> IlpResult:
-    solver = get_backend(backend)
-    if not solver.available():
-        raise IlpError(
-            f"{backend} backend requested but {backend} is unavailable"
-        )
-    result, attempt = timed_solve(
-        solver, reduced, warm_start=warm_start, timeout_s=timeout_s
-    )
-    info.attempts.append(attempt)
-    info.backend = backend
-    if result.is_optimal:
-        repaired = _round_to_integral(problem, result)
-        if repaired is None:
-            raise IlpError(
-                f"{backend} returned an OPTIMAL point violating the model"
-            )
-        info.verified = True
-        return repaired
-    return result
-
-
-def _solve_auto(
-    problem: IlpProblem,
-    reduced: IlpProblem,
-    info: SolveInfo,
-    warm_start: tuple[Fraction, ...] | None,
-    timeout_s: float | None = None,
-) -> IlpResult:
-    """scipy when present, under the verification chain; exact otherwise."""
-    scipy = get_backend("scipy")
-    if not scipy.available():
-        return _solve_exact(problem, reduced, info, warm_start, timeout_s)
-    # Chaos only ever perturbs the *float* attempt: the recovery path under
-    # test is the verification chain itself, and the exact backend stays
-    # the trust anchor, so an injected fault can cost a fallback solve but
-    # never a wrong answer.
-    injector = get_injector()
-    chaos_key = _problem_key(reduced) if injector is not None else ""
-    if injector is not None and injector.decide("solver", chaos_key):
-        info.attempts.append(
-            SolveAttempt(
-                backend="scipy",
-                status=Status.INFEASIBLE,
-                wall_s=0.0,
-                timed_out=True,
-            )
-        )
-        info.fallback = True
-        return _solve_exact(problem, reduced, info, warm_start, timeout_s)
-    result, attempt = timed_solve(scipy, reduced, timeout_s=timeout_s)
-    info.attempts.append(attempt)
-    if injector is not None and injector.decide("solver-wrong", chaos_key):
-        result = _corrupt_result(reduced, result)
-    if result.is_optimal:
-        repaired = _round_to_integral(problem, result)
-        if repaired is not None:
-            info.backend = "scipy"
-            info.verified = True
-            return repaired
-        # Rounded point violates the model: never trust it — fall back.
-        info.fallback = True
-        return _solve_exact(problem, reduced, info, warm_start, timeout_s)
-    if result.status is Status.UNBOUNDED:
-        info.backend = "scipy"
-        return result
-    # A float INFEASIBLE is a *semantic* answer for threshold
-    # identification (the function would be declared non-threshold), so it
-    # is always re-proved by the exact solver — and that fallback result is
-    # verified exactly like a first-class exact solve.
-    info.fallback = True
-    return _solve_exact(problem, reduced, info, warm_start, timeout_s)
-
-
-def _corrupt_result(problem: IlpProblem, result: IlpResult) -> IlpResult:
-    """Chaos ``solver-wrong``: the shapes of float-solver misbehaviour.
-
-    An OPTIMAL becomes a (false) INFEASIBLE — which the chain re-proves
-    with the exact solver; anything else becomes a bogus all-zero OPTIMAL —
-    which the round-and-recheck verification rejects (or, on the rare model
-    where the origin is feasible, accepts as a valid if suboptimal gate).
-    """
-    if result.is_optimal:
-        return IlpResult(Status.INFEASIBLE)
-    zeros = tuple(Fraction(0) for _ in range(problem.num_vars))
-    return IlpResult(Status.OPTIMAL, Fraction(0), zeros)
+    return result, info
 
 
 def solve_ilp(
     problem: IlpProblem,
-    backend: str = "auto",
     *,
     presolve: bool = True,
     warm_start: tuple[Fraction, ...] | None = None,
     timeout_s: float | None = None,
 ) -> IlpResult:
-    """Solve an ILP with the chosen backend (telemetry discarded).
-
-    ``auto`` uses HiGHS when present but never trusts a float answer: an
-    OPTIMAL point is rounded to integers and re-checked against every
-    constraint (with an exact-solver fallback on violation), and an
-    INFEASIBLE is confirmed with the exact solver, since TELS interprets
-    infeasibility as "not a threshold function" and a false negative would
-    silently degrade synthesis quality (never correctness).
-    """
+    """Solve an ILP exactly (telemetry discarded)."""
     result, _ = solve_ilp_info(
         problem,
-        backend,
         presolve=presolve,
         warm_start=warm_start,
         timeout_s=timeout_s,

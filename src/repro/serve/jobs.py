@@ -44,6 +44,9 @@ from repro.serve.schemas import (
 ACTIVE_STATES = ("queued", "running")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
+#: Synthesis options older daemons accepted and journaled, since retired.
+_RETIRED_OPTIONS = frozenset({"backend", "use_presolve"})
+
 
 @dataclass
 class Job:
@@ -155,9 +158,17 @@ class JobManager:
             state = record.get("state")
             if not isinstance(raw, dict) or state is None:
                 continue  # never fully accepted; nothing to resume
-            # Older journals store a per-job cone "jobs" count in every
-            # request; the API no longer accepts it, so drop it to replay.
+            # Older journals store options the API no longer accepts (a
+            # per-job cone "jobs" count; the ILP "backend" and
+            # "use_presolve" knobs); drop them so accepted jobs replay.
             raw = {k: v for k, v in raw.items() if k != "jobs"}
+            options = raw.get("options")
+            if isinstance(options, dict):
+                raw["options"] = {
+                    k: v
+                    for k, v in options.items()
+                    if k not in _RETIRED_OPTIONS
+                }
             try:
                 request = parse_job_request(raw)
             except ApiError as exc:

@@ -31,11 +31,9 @@ OPTION_FIELDS: dict[str, tuple[type, ...]] = {
     "delta_on": (int,),
     "delta_off": (int,),
     "seed": (int,),
-    "backend": (str,),
     "gate_model": (str,),
     "splitting_strategy": (str,),
     "use_fastpath": (bool,),
-    "use_presolve": (bool,),
     "max_weight": (int, type(None)),
     "lint": (bool,),
     "analyze": (bool,),

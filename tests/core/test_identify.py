@@ -118,7 +118,7 @@ class TestSoundness:
         rng = random.Random(81)
         for _ in range(250):
             cover = random_cover(rng, rng.randint(1, 5))
-            vec = ThresholdChecker(backend="exact").check(cover)
+            vec = ThresholdChecker().check(cover)
             if vec is not None:
                 assert gate_agrees(vec, cover), cover.to_strings()
 
@@ -127,20 +127,12 @@ class TestSoundness:
         # with brute-force non-existence of integer weights in a small box.
         from itertools import product
 
-        checker = ThresholdChecker(backend="exact")
+        checker = ThresholdChecker()
         for tt in product([0, 1], repeat=8):
             cover = Cover.from_truth_table(tt, 3)
             vec = checker.check(cover)
             brute = _brute_force_threshold(tt, 3, bound=3)
             assert (vec is not None) == brute, tt
-
-    def test_backends_agree(self):
-        rng = random.Random(83)
-        for _ in range(100):
-            cover = random_cover(rng, rng.randint(1, 4))
-            exact = ThresholdChecker(backend="exact").check(cover)
-            auto = ThresholdChecker(backend="auto").check(cover)
-            assert (exact is None) == (auto is None), cover.to_strings()
 
 
 def _brute_force_threshold(tt, nvars, bound):

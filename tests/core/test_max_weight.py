@@ -28,7 +28,7 @@ class TestCheckerBound:
         from tests.conftest import random_cover
 
         rng = random.Random(5)
-        checker = ThresholdChecker(max_weight=2, backend="exact")
+        checker = ThresholdChecker(max_weight=2)
         for _ in range(80):
             cover = random_cover(rng, 4)
             vec = checker.check(cover)

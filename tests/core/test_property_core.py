@@ -32,7 +32,7 @@ def covers(draw, max_vars: int = 4, max_cubes: int = 5):
 @settings(max_examples=150, deadline=None)
 @given(covers())
 def test_identified_vectors_implement_their_function(cover):
-    vec = ThresholdChecker(backend="exact").check(cover)
+    vec = ThresholdChecker().check(cover)
     if vec is None:
         return
     for p in range(1 << cover.nvars):
@@ -43,7 +43,7 @@ def test_identified_vectors_implement_their_function(cover):
 @settings(max_examples=150, deadline=None)
 @given(covers())
 def test_identification_invariant_under_scc(cover):
-    checker = ThresholdChecker(backend="exact")
+    checker = ThresholdChecker()
     assert (checker.check(cover) is None) == (checker.check(cover.scc()) is None)
 
 
@@ -51,8 +51,8 @@ def test_identification_invariant_under_scc(cover):
 @given(covers(), st.integers(min_value=0, max_value=2))
 def test_delta_on_never_helps_feasibility(cover, delta_on):
     """Raising delta_on can only shrink the feasible set."""
-    loose = ThresholdChecker(delta_on=0, backend="exact").check(cover)
-    tight = ThresholdChecker(delta_on=delta_on, backend="exact").check(cover)
+    loose = ThresholdChecker(delta_on=0).check(cover)
+    tight = ThresholdChecker(delta_on=delta_on).check(cover)
     if tight is not None:
         assert loose is not None
 

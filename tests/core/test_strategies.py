@@ -52,7 +52,7 @@ class TestBalanced:
 
 class TestLookahead:
     def test_finds_double_threshold_split(self):
-        checker = ThresholdChecker(backend="exact")
+        checker = ThresholdChecker()
         splitter = make_splitter("lookahead", checker, psi=4)
         # ab + ac + de + dg: splitting on a gives two threshold halves.
         f = BooleanFunction.parse("a b + a c + d e + d g")
@@ -62,7 +62,7 @@ class TestLookahead:
             assert checker.check_function(part) is not None
 
     def test_preserves_and_mode(self):
-        checker = ThresholdChecker(backend="exact")
+        checker = ThresholdChecker()
         splitter = make_splitter("lookahead", checker, psi=4)
         f = BooleanFunction.parse("a b + a c d")
         split = splitter(f, random.Random(0))
@@ -82,7 +82,7 @@ class TestEndToEnd:
             assert verify_threshold_network(net, th), (strategy, seed)
 
     def test_parts_always_recombine(self):
-        checker = ThresholdChecker(backend="exact")
+        checker = ThresholdChecker()
         rng = random.Random(3)
         from tests.conftest import random_cover
         from repro.boolean.unate import syntactic_unateness

@@ -217,12 +217,6 @@ class TestEquivalenceFuzz:
             )
             assert verify_threshold_network(net, th), delta_on
 
-    def test_backend_variants(self):
-        net = random_network(960)
-        for backend in ("exact", "auto"):
-            th = synthesize(net, SynthesisOptions(psi=3, backend=backend))
-            assert verify_threshold_network(net, th), backend
-
 
 class TestReport:
     def test_report_counts_consistent(self):

@@ -35,7 +35,7 @@ class TestTheorem1Statement:
         """If g (after literal replacement) is threshold-infeasible, the
         original f must be too — checked on random unate samples."""
         rng = random.Random(91)
-        checker = ThresholdChecker(backend="exact")
+        checker = ThresholdChecker()
         checked = 0
         for _ in range(300):
             cover = random_cover(rng, 4)
@@ -69,7 +69,7 @@ class TestTheorem2:
 
     def test_extension_implements_or(self):
         rng = random.Random(93)
-        checker = ThresholdChecker(backend="exact")
+        checker = ThresholdChecker()
         verified = 0
         for _ in range(200):
             cover = random_cover(rng, 3)

@@ -28,7 +28,6 @@ from repro.engine.scheduler import run_synthesis
 from repro.engine.tasks import preserved_set
 from repro.errors import DeadlineExceeded, SynthesisError, TransientError
 from repro.faults.injector import CHAOS_ENV
-from repro.ilp.backends import get_backend
 from repro.lint.diagnostics import LintOptions
 from repro.lint.runner import run_lint
 from repro.network.scripts import prepare_tels
@@ -212,39 +211,14 @@ class TestTransientRetry:
         _check(source, result)
 
 
-class TestChaosSolver:
-    def test_solver_timeouts_fall_back_to_exact(self, monkeypatch):
-        if not get_backend("scipy").available():
-            pytest.skip("solver chaos targets the scipy attempt")
-        monkeypatch.setenv(CHAOS_ENV, "solver=1.0:2")
-        source = _source()
-        net = prepare_tels(source)
-        result = run_synthesis(net, SynthesisOptions(psi=3))
-        assert result.report.degraded_cones == 0
-        stats = result.report.checker.stats
-        if stats.ilp_solved:
-            assert stats.solver_timeouts > 0
-            assert stats.exact_solves > 0
-        _check(source, result)
-
-    def test_wrong_solver_answers_are_caught(self, monkeypatch):
-        if not get_backend("scipy").available():
-            pytest.skip("solver chaos targets the scipy attempt")
-        monkeypatch.setenv(CHAOS_ENV, "solver-wrong=1.0:4")
-        source = _source()
-        net = prepare_tels(source)
-        result = run_synthesis(net, SynthesisOptions(psi=3))
-        assert result.report.degraded_cones == 0
-        _check(source, result)
-
-
 class TestChaosEndToEnd:
     def test_combined_chaos_differential(self, tmp_path, monkeypatch):
-        """The acceptance scenario: solver timeouts plus cache faults, and
-        the run still completes with a verified, lint-clean network."""
+        """The acceptance scenario: cache write faults plus torn cache
+        lines, and the run still completes with a verified, lint-clean
+        network."""
         source = _source()
         net = prepare_tels(source)
-        monkeypatch.setenv(CHAOS_ENV, "solver=0.3,cache=0.3:5")
+        monkeypatch.setenv(CHAOS_ENV, "cache=0.3,cache-corrupt=0.3:5")
         options = SynthesisOptions(psi=3, retry_backoff_s=0.01)
         result = run_synthesis(
             net, options, cache_dir=str(tmp_path / "cache")

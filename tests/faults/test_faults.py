@@ -20,35 +20,34 @@ from repro.faults.retry import RetryPolicy, retry_call
 
 class TestSpecParsing:
     def test_single_site_with_seed(self):
-        spec = parse_chaos_spec("solver=0.5:7")
-        assert spec.rates == {"solver": 0.5}
+        spec = parse_chaos_spec("cache=0.5:7")
+        assert spec.rates == {"cache": 0.5}
         assert spec.seed == 7
         assert spec.active
 
     def test_multiple_sites_default_seed(self):
-        spec = parse_chaos_spec("solver=1.0,cache=0.25")
-        assert spec.rate("solver") == 1.0
-        assert spec.rate("cache") == 0.25
-        assert spec.rate("cache-corrupt") == 0.0
+        spec = parse_chaos_spec("cache=1.0,cache-corrupt=0.25")
+        assert spec.rate("cache") == 1.0
+        assert spec.rate("cache-corrupt") == 0.25
         assert spec.seed == 0
 
     def test_whitespace_tolerated(self):
-        spec = parse_chaos_spec(" solver=0.1 , cache=0.2 :3")
-        assert spec.rates == {"solver": 0.1, "cache": 0.2}
+        spec = parse_chaos_spec(" cache=0.1 , cache-corrupt=0.2 :3")
+        assert spec.rates == {"cache": 0.1, "cache-corrupt": 0.2}
         assert spec.seed == 3
 
     def test_zero_rate_spec_is_inactive(self):
-        assert not parse_chaos_spec("solver=0.0").active
+        assert not parse_chaos_spec("cache=0.0").active
 
     @pytest.mark.parametrize(
         "text",
         [
-            "solver",  # no rate
-            "solver=0.5:xyz",  # bad seed
+            "cache",  # no rate
+            "cache=0.5:xyz",  # bad seed
             "typo-site=0.5",  # unknown site
-            "solver=lots",  # non-numeric rate
-            "solver=1.5",  # out of range
-            "solver=-0.1",  # out of range
+            "cache=lots",  # non-numeric rate
+            "cache=1.5",  # out of range
+            "cache=-0.1",  # out of range
             ":4",  # no sites
             "",  # empty
         ],
@@ -58,10 +57,19 @@ class TestSpecParsing:
             parse_chaos_spec(text)
 
     @pytest.mark.parametrize(
-        "site", ["worker", "stall", "net-refuse", "net-corrupt", "net-dup"]
+        "site",
+        [
+            "worker",
+            "stall",
+            "net-refuse",
+            "net-corrupt",
+            "net-dup",
+            "solver",
+            "solver-wrong",
+        ],
     )
     def test_removed_sites_fail_loudly(self, site):
-        known = "known: cache, cache-corrupt, solver, solver-wrong"
+        known = "known: cache, cache-corrupt"
         with pytest.raises(ChaosError, match=f"unknown site .*{known}"):
             parse_chaos_spec(f"{site}=0.5")
 
@@ -73,17 +81,19 @@ class TestSpecParsing:
 
 class TestDecisions:
     def test_same_key_same_decision(self):
-        a = FaultInjector(parse_chaos_spec("solver=0.5:1"))
-        b = FaultInjector(parse_chaos_spec("solver=0.5:1"))
+        a = FaultInjector(parse_chaos_spec("cache=0.5:1"))
+        b = FaultInjector(parse_chaos_spec("cache=0.5:1"))
         keys = [f"cone{i}:1" for i in range(200)]
-        assert [a.decide("solver", k) for k in keys] == [
-            b.decide("solver", k) for k in keys
+        assert [a.decide("cache", k) for k in keys] == [
+            b.decide("cache", k) for k in keys
         ]
 
     def test_rate_one_always_fires_rate_zero_never(self):
         inj = FaultInjector(parse_chaos_spec("cache=1.0:0"))
         assert all(inj.decide("cache", f"k{i}") for i in range(20))
-        assert not any(inj.decide("solver", f"k{i}") for i in range(20))
+        assert not any(
+            inj.decide("cache-corrupt", f"k{i}") for i in range(20)
+        )
         assert inj.injected == {"cache": 20}
 
     def test_rate_is_statistically_respected(self):
@@ -92,22 +102,22 @@ class TestDecisions:
         assert 0.25 < hits / 2000 < 0.35
 
     def test_seed_changes_decisions(self):
-        a = FaultInjector(parse_chaos_spec("solver=0.5:1"))
-        b = FaultInjector(parse_chaos_spec("solver=0.5:2"))
+        a = FaultInjector(parse_chaos_spec("cache=0.5:1"))
+        b = FaultInjector(parse_chaos_spec("cache=0.5:2"))
         keys = [f"cone{i}" for i in range(200)]
-        assert [a.decide("solver", k) for k in keys] != [
-            b.decide("solver", k) for k in keys
+        assert [a.decide("cache", k) for k in keys] != [
+            b.decide("cache", k) for k in keys
         ]
 
     def test_decisions_survive_pythonhashseed(self):
         """String seeding hashes through SHA-512, not hash(): decisions
         must match across interpreters with different PYTHONHASHSEED."""
-        local = FaultInjector(parse_chaos_spec("solver=0.5:42"))
-        expect = [local.decide("solver", f"cone{i}:1") for i in range(32)]
+        local = FaultInjector(parse_chaos_spec("cache=0.5:42"))
+        expect = [local.decide("cache", f"cone{i}:1") for i in range(32)]
         code = (
             "from repro.faults.injector import FaultInjector, parse_chaos_spec;"
-            "inj = FaultInjector(parse_chaos_spec('solver=0.5:42'));"
-            "print([inj.decide('solver', f'cone{i}:1') for i in range(32)])"
+            "inj = FaultInjector(parse_chaos_spec('cache=0.5:42'));"
+            "print([inj.decide('cache', f'cone{i}:1') for i in range(32)])"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -125,10 +135,10 @@ class TestGetInjector:
         assert get_injector() is None
 
     def test_cached_per_env_value(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "solver=0.5:1")
+        monkeypatch.setenv(CHAOS_ENV, "cache=0.5:1")
         first = get_injector()
         assert first is get_injector()  # counters persist
-        monkeypatch.setenv(CHAOS_ENV, "solver=0.5:2")
+        monkeypatch.setenv(CHAOS_ENV, "cache=0.5:2")
         assert get_injector() is not first  # new spec takes effect
         monkeypatch.delenv(CHAOS_ENV)
         assert get_injector() is None

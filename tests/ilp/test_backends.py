@@ -1,38 +1,17 @@
-"""Backend dispatch, registry, and verification-chain tests."""
+"""The solve layer: presolve, the exact branch & bound, and verification."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from repro.errors import IlpError
-from repro.ilp import backends as backends_mod
-from repro.ilp.backends import (
-    get_backend,
-    register_backend,
-    registered_backends,
-)
+from repro.ilp import solve as solve_mod
 from repro.ilp.model import IlpProblem, IlpResult, Status
-from repro.ilp.scipy_backend import have_scipy, solve_scipy
-from repro.ilp.solve import available_backends, solve_ilp, solve_ilp_info
-
-needs_scipy = pytest.mark.skipif(not have_scipy(), reason="scipy missing")
-
-
-class _FakeBackend:
-    """A scriptable backend for testing the dispatch layer's verification."""
-
-    def __init__(self, name, result):
-        self.name = name
-        self.result = result
-        self.calls = 0
-
-    def available(self):
-        return True
-
-    def solve(self, problem, warm_start=None):
-        self.calls += 1
-        return self.result
+from repro.ilp.solve import solve_ilp, solve_ilp_info
 
 
 def _simple_problem() -> IlpProblem:
@@ -43,137 +22,49 @@ def _simple_problem() -> IlpProblem:
 
 
 class TestDispatch:
-    def test_available_backends_contains_exact(self):
-        assert "exact" in available_backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(IlpError):
-            solve_ilp(IlpProblem(num_vars=1), backend="cplex")
-
-    def test_scipy_requested_but_missing_behaviour(self):
-        if have_scipy():
-            r = solve_ilp(IlpProblem(num_vars=1, objective=[1]), backend="scipy")
-            assert r.status is Status.OPTIMAL
-        else:
-            with pytest.raises(IlpError):
-                solve_ilp(IlpProblem(num_vars=1), backend="scipy")
-
     def test_exact_backend_trivial(self):
-        r = solve_ilp(IlpProblem(num_vars=2, objective=[1, 1]), backend="exact")
+        r = solve_ilp(IlpProblem(num_vars=2, objective=[1, 1]))
         assert r.status is Status.OPTIMAL
         assert r.objective == 0
 
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = registered_backends()
-        assert "exact" in names
-        assert "scipy" in names  # registered even when unavailable
-
-    def test_available_is_subset_of_registered(self):
-        assert set(available_backends()) <= set(registered_backends())
-
-    def test_reserved_and_empty_names_rejected(self):
-        with pytest.raises(IlpError):
-            register_backend(_FakeBackend("auto", None))
-        with pytest.raises(IlpError):
-            register_backend(_FakeBackend("", None))
-
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(IlpError, match="exact"):
-            get_backend("gurobi")
-
-    def test_registered_backend_reachable_through_dispatch(self, monkeypatch):
-        stub = _FakeBackend(
-            "stub",
-            IlpResult(
-                Status.OPTIMAL,
-                Fraction(3),
-                (Fraction(3), Fraction(0)),
-            ),
-        )
-        monkeypatch.setitem(backends_mod._REGISTRY, "stub", stub)
-        result, info = solve_ilp_info(_simple_problem(), backend="stub")
-        assert stub.calls == 1
-        assert result.status is Status.OPTIMAL
-        assert info.backend == "stub"
-        assert info.verified
+    def test_lp_feasible_ilp_infeasible_is_proved(self):
+        # 3x == 1 has the LP point x = 1/3 but no integral one.
+        p = IlpProblem(num_vars=1, objective=[1])
+        p.add_constraint([3], "==", 1)
+        result = solve_ilp(p)
+        assert result.status is Status.INFEASIBLE
+        assert not result.limit_hit
 
 
 class TestVerificationChain:
-    def test_corrupt_scipy_optimal_falls_back_to_exact(self, monkeypatch):
-        # An "OPTIMAL" point violating the model must never be returned:
-        # the auto chain re-solves with the exact backend.
-        fake = _FakeBackend(
-            "scipy",
-            IlpResult(
-                Status.OPTIMAL,
-                Fraction(0),
-                (Fraction(0), Fraction(0)),
-            ),
-        )
-        monkeypatch.setitem(backends_mod._REGISTRY, "scipy", fake)
-        result, info = solve_ilp_info(_simple_problem(), backend="auto")
-        assert fake.calls == 1
-        assert result.status is Status.OPTIMAL
-        assert result.objective == 3
-        assert info.fallback
-        assert info.backend == "exact"
-        assert info.verified
-        assert info.solves_for("scipy") == 1
-        assert info.solves_for("exact") >= 1
+    def test_wrong_solver_point_is_rejected(self, monkeypatch):
+        # An OPTIMAL point violating the original model never escapes.
+        def bogus(problem, **kwargs):
+            zeros = (Fraction(0),) * problem.num_vars
+            return IlpResult(Status.OPTIMAL, Fraction(0), zeros)
 
-    def test_scipy_infeasible_is_reproved_by_exact(self, monkeypatch):
-        # A float INFEASIBLE on a feasible model must be overturned.
-        fake = _FakeBackend("scipy", IlpResult(Status.INFEASIBLE))
-        monkeypatch.setitem(backends_mod._REGISTRY, "scipy", fake)
-        result, info = solve_ilp_info(_simple_problem(), backend="auto")
-        assert result.status is Status.OPTIMAL
-        assert result.objective == 3
-        assert info.fallback
-        assert info.backend == "exact"
-
-    def test_named_backend_corrupt_optimal_raises(self, monkeypatch):
-        fake = _FakeBackend(
-            "liar",
-            IlpResult(
-                Status.OPTIMAL,
-                Fraction(0),
-                (Fraction(0), Fraction(0)),
-            ),
-        )
-        monkeypatch.setitem(backends_mod._REGISTRY, "liar", fake)
-        with pytest.raises(IlpError, match="violating"):
-            solve_ilp(_simple_problem(), backend="liar")
-
-    def test_fractional_scipy_point_is_rounded_and_accepted(self, monkeypatch):
-        # Float noise on an integral optimum is repaired, not rejected.
-        fake = _FakeBackend(
-            "scipy",
-            IlpResult(
-                Status.OPTIMAL,
-                Fraction(3),
-                (Fraction(2999999, 1000000), Fraction(1, 1000000)),
-            ),
-        )
-        monkeypatch.setitem(backends_mod._REGISTRY, "scipy", fake)
-        result, info = solve_ilp_info(_simple_problem(), backend="auto")
-        assert result.status is Status.OPTIMAL
-        assert result.int_values() == (3, 0)
-        assert not info.fallback
-        assert info.backend == "scipy"
+        monkeypatch.setattr(solve_mod, "solve_bb", bogus)
+        with pytest.raises(IlpError, match="violates"):
+            solve_ilp(_simple_problem())
 
     def test_presolve_settles_infeasible_without_backends(self):
         p = IlpProblem(num_vars=2, objective=[1, 1])
         p.add_constraint([1, 1], "<=", -1)
-        result, info = solve_ilp_info(p, backend="auto")
+        result, info = solve_ilp_info(p)
         assert result.status is Status.INFEASIBLE
-        assert info.backend == "presolve"
-        assert info.verified
-        assert info.attempts == []
+        assert info.presolve is not None and info.presolve.infeasible
+        assert info.solves == 0
+
+    def test_info_counts_solves_and_presolve(self):
+        result, info = solve_ilp_info(_simple_problem())
+        assert result.status is Status.OPTIMAL
+        assert result.objective == 3
+        assert info.solves >= 1
+        assert info.wall_s >= 0.0
+        assert info.presolve is not None
+        assert not info.timed_out
 
 
-@needs_scipy
 class TestAgreement:
     def _random_problem(self, rng):
         n = rng.randint(1, 4)
@@ -189,36 +80,46 @@ class TestAgreement:
         return p
 
     def test_feasibility_agreement_fuzz(self):
+        # The full pipeline (presolve, warm start, verification) agrees
+        # with a bare branch & bound on the untouched model.
         rng = random.Random(0)
         limit_hits = 0
         for _ in range(120):
             p = self._random_problem(rng)
-            exact = solve_ilp(p, backend="exact")
-            auto = solve_ilp(p, backend="auto")
-            if exact.limit_hit:
-                # Node budget exhausted: the exact answer is a declared
-                # (not proven) infeasibility — the paper's Section V-E
-                # semantics — so there is nothing to compare.
+            bare = solve_ilp(p, presolve=False)
+            full = solve_ilp(p)
+            if bare.limit_hit or full.limit_hit:
+                # Node budget exhausted: a declared (not proven)
+                # infeasibility — the paper's Section V-E semantics — so
+                # there is nothing to compare.
                 limit_hits += 1
                 continue
-            if exact.status is Status.OPTIMAL and auto.status is Status.OPTIMAL:
-                assert exact.objective == auto.objective
-            elif Status.INFEASIBLE in (exact.status, auto.status):
-                assert exact.status == auto.status
+            assert bare.status == full.status
+            if bare.status is Status.OPTIMAL:
+                assert bare.objective == full.objective
         # The budget should only rarely trip on this distribution.
         assert limit_hits <= 6
 
-    def test_scipy_solutions_verified(self):
-        rng = random.Random(1)
-        for _ in range(60):
-            p = self._random_problem(rng)
-            r = solve_scipy(p)
-            if r.status is Status.OPTIMAL:
-                assert p.is_feasible_point(r.values)
 
-    def test_auto_double_checks_infeasible(self):
-        # A problem where float rounding could matter: the auto path must
-        # agree with the exact answer.
-        p = IlpProblem(num_vars=1, objective=[1])
-        p.add_constraint([3], "==", 1)  # 3x == 1: LP-feasible, ILP-infeasible
-        assert solve_ilp(p, backend="auto").status is Status.INFEASIBLE
+def test_synthesis_never_imports_scipy():
+    """The exact solver is the only solver: a flow that solves ILPs must
+    not load scipy (checked in a fresh interpreter)."""
+    code = (
+        "import sys\n"
+        "from repro.benchgen.extended import build_extended_benchmark\n"
+        "from repro.core.synthesis import SynthesisOptions, "
+        "synthesize_with_report\n"
+        "from repro.network.scripts import prepare_tels\n"
+        "net = prepare_tels(build_extended_benchmark('parmix'))\n"
+        "_, report = synthesize_with_report(net, SynthesisOptions(psi=9))\n"
+        "assert report.checker.stats.ilp_solved > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,7 @@
-"""Differential test: fast path vs exact ILP vs scipy on random unate covers.
+"""Differential test: fast path vs exact ILP on random unate covers.
 
-The acceptance bar for the solver-stack refactor: on hundreds of randomized
-unate covers, (a) the Chow fast path, the exact backend, and the scipy
-backend agree on feasibility, and (b) every accepted weight–threshold
+On hundreds of randomized unate covers, (a) the Chow fast path and the
+exact ILP agree on feasibility, and (b) every accepted weight–threshold
 vector satisfies every ON/OFF inequality — checked here in the strongest
 form, point by point over the full truth table with the defect tolerances.
 """
@@ -13,7 +12,6 @@ import pytest
 
 from repro.boolean.cover import Cover
 from repro.core.identify import ThresholdChecker
-from repro.ilp.scipy_backend import have_scipy
 
 NUM_COVERS = 520
 #: Support sizes, skewed small (ILP width = support + 1) but reaching 10.
@@ -50,15 +48,10 @@ def _assert_vector_separates(cover, vec, delta_on, delta_off, context):
 
 class TestDifferential:
     def _checkers(self):
-        configs = {
-            "fastpath": ThresholdChecker(use_fastpath=True, backend="exact"),
-            "exact": ThresholdChecker(use_fastpath=False, backend="exact"),
+        return {
+            "fastpath": ThresholdChecker(use_fastpath=True),
+            "exact": ThresholdChecker(use_fastpath=False),
         }
-        if have_scipy():
-            configs["scipy"] = ThresholdChecker(
-                use_fastpath=False, backend="scipy"
-            )
-        return configs
 
     def test_feasibility_agreement_and_inequalities(self):
         rng = random.Random(20260805)
@@ -89,8 +82,8 @@ class TestDifferential:
     def test_fastpath_hits_match_ilp_optimum(self):
         """Where the fast path answers, its vector has the ILP's objective."""
         rng = random.Random(99)
-        fast = ThresholdChecker(use_fastpath=True, backend="exact")
-        slow = ThresholdChecker(use_fastpath=False, backend="exact")
+        fast = ThresholdChecker(use_fastpath=True)
+        slow = ThresholdChecker(use_fastpath=False)
         compared = 0
         for _ in range(120):
             cover = _random_unate_cover(rng)
@@ -110,10 +103,10 @@ class TestDifferential:
         """max_weight verdicts agree between the fast path and the ILP."""
         rng = random.Random(max_weight)
         fast = ThresholdChecker(
-            use_fastpath=True, backend="exact", max_weight=max_weight
+            use_fastpath=True, max_weight=max_weight
         )
         slow = ThresholdChecker(
-            use_fastpath=False, backend="exact", max_weight=max_weight
+            use_fastpath=False, max_weight=max_weight
         )
         for index in range(100):
             cover = _random_unate_cover(rng)

@@ -125,8 +125,8 @@ class TestCheckerIntegration:
     def test_fastpath_reproduces_exact_ilp_vectors(self):
         for text in self.PAPER_FUNCTIONS:
             f = BooleanFunction.parse(text)
-            fast = ThresholdChecker(use_fastpath=True, backend="exact")
-            slow = ThresholdChecker(use_fastpath=False, backend="exact")
+            fast = ThresholdChecker(use_fastpath=True)
+            slow = ThresholdChecker(use_fastpath=False)
             assert fast.check_function(f) == slow.check_function(f), text
             assert fast.stats.fastpath_hits == 1, text
             assert fast.stats.ilp_solved == 0, text

@@ -92,7 +92,7 @@ class TestInfeasibilityDetection:
         p = IlpProblem(num_vars=1, objective=[1])
         p.add_constraint([1], "<=", 2)
         p.add_constraint([1], ">=", 3)
-        assert solve_ilp(p, backend="exact").status is Status.INFEASIBLE
+        assert solve_ilp(p).status is Status.INFEASIBLE
 
 
 class TestExactness:
@@ -113,14 +113,14 @@ class TestExactness:
         rng = random.Random(7)
         for _ in range(100):
             p = self._random_problem(rng)
-            base = solve_ilp(p, backend="exact", presolve=False)
+            base = solve_ilp(p, presolve=False)
             if base.limit_hit:
                 continue
             reduced, info = presolve(p)
             if info.infeasible:
                 assert base.status is Status.INFEASIBLE
                 continue
-            again = solve_ilp(reduced, backend="exact", presolve=False)
+            again = solve_ilp(reduced, presolve=False)
             assert base.status == again.status
             if base.status is Status.OPTIMAL:
                 assert base.objective == again.objective
@@ -146,7 +146,7 @@ class TestSymmetry:
         collapse = collapse_symmetric(p)
         assert collapse is not None
         assert collapse.problem.num_vars == 1
-        reduced = solve_ilp(collapse.problem, backend="exact")
+        reduced = solve_ilp(collapse.problem)
         assert reduced.status is Status.OPTIMAL
         expanded = expand_solution(collapse, reduced.values)
         assert len(expanded) == 3

@@ -213,7 +213,7 @@ class TestResilienceFlags:
         assert "verified=True" in capsys.readouterr().out
 
     def test_synth_under_chaos_env(self, blif_file, capsys, monkeypatch):
-        monkeypatch.setenv("TELS_CHAOS", "solver=0.5,cache=0.2:1")
+        monkeypatch.setenv("TELS_CHAOS", "cache=0.2:1")
         assert main(["synth", str(blif_file)]) == 0
         captured = capsys.readouterr()
         assert "verified=True" in captured.out

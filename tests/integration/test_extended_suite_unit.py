@@ -21,7 +21,7 @@ def tiny_summary():
 
 def _without_timings(row):
     """A suite row minus its solver wall times (the only run-varying part)."""
-    check = replace(row.check_stats, exact_wall_s=0.0, scipy_wall_s=0.0)
+    check = replace(row.check_stats, exact_wall_s=0.0)
     return replace(row, check_stats=check)
 
 

@@ -99,6 +99,17 @@ class TestErrorPaths:
         assert err.value.status == 400
         assert "warp_factor" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "retired", [{"backend": "scipy"}, {"use_presolve": False}]
+    )
+    def test_retired_solver_options_are_400(
+        self, client, small_blif, retired
+    ):
+        with pytest.raises(ServeClientError) as err:
+            client.submit(small_blif, options=retired)
+        assert err.value.status == 400
+        assert err.value.code == "bad-options"
+
     def test_bad_option_value_is_400(self, client, small_blif):
         with pytest.raises(ServeClientError) as err:
             client.submit(small_blif, options={"psi": "three"})

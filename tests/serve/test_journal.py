@@ -132,7 +132,7 @@ class TestRecovery:
         )
         with open(journal.path, "a") as handle:
             handle.write('{"id": "j000004", "state": "done", "resu')
-        monkeypatch.setenv("TELS_CHAOS", "solver=0.25,cache=0.5:11")
+        monkeypatch.setenv("TELS_CHAOS", "cache=0.5:11")
         manager = JobManager(
             journal_dir=str(tmp_path), cache_dir=str(tmp_path / "cache")
         )
@@ -173,6 +173,31 @@ class TestRecovery:
             replayed = manager.get("j000007")
             assert replayed.state == "done"
             assert replayed.request.name == "legacy"
+            assert replayed.result["verified"] is True
+        finally:
+            manager.shutdown()
+
+    def test_retired_solver_options_replay(self, tmp_path):
+        """Older journals may carry the retired ``backend`` and
+        ``use_presolve`` options; recovery drops them, so the queued job
+        replays and finishes instead of failing as unrecoverable."""
+        request = (
+            '{"blif":".model m\\n.inputs a b\\n.outputs y\\n'
+            '.names a b y\\n11 1\\n.end\\n","name":"retired",'
+            '"options":{"backend":"scipy","use_presolve":false,"psi":3},'
+            '"use_cache":true}'
+        )
+        journal_file(tmp_path).write_text(
+            '{"format": "tels-jobs", "version": 1}\n'
+            '{"id":"j000009","request":' + request + ','
+            '"state":"queued","submitted_at":100.0,"t":100.0}\n'
+        )
+        manager = JobManager(journal_dir=str(tmp_path))
+        try:
+            self._wait(manager, "j000009")
+            replayed = manager.get("j000009")
+            assert replayed.state == "done"
+            assert replayed.request.options == {"psi": 3}
             assert replayed.result["verified"] is True
         finally:
             manager.shutdown()
