@@ -123,17 +123,9 @@ def _add_synthesis_args(parser: argparse.ArgumentParser) -> None:
         "degrade on expiry",
     )
     parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="runs per cone before degrading (transient failures retry "
-        "with exponential backoff)",
-    )
-    parser.add_argument(
         "--strict-synthesis",
         action="store_true",
-        help="fail instead of degrading a cone that times out or "
-        "exhausts its retries",
+        help="fail instead of degrading a cone that runs out of time",
     )
 
 
@@ -149,7 +141,6 @@ def _options(args: argparse.Namespace) -> SynthesisOptions:
         analyze=getattr(args, "analyze", False),
         deadline_per_cone_s=getattr(args, "deadline_per_cone", None),
         deadline_total_s=getattr(args, "deadline_total", None),
-        max_attempts=getattr(args, "max_attempts", 3),
         strict_synthesis=getattr(args, "strict_synthesis", False),
     )
 
@@ -235,7 +226,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"presolve removed {check.presolve_rows_removed} rows"
         )
     if report.trace is not None:
-        print(report.trace.format_summary())
+        print(report.trace.format_summary(report.degraded))
     cache_dir = _cache_dir(args)
     store = report.checker.store if report.checker else None
     if cache_dir and store is not None and store.persistent is not None:
@@ -818,7 +809,6 @@ def _api_options(args: argparse.Namespace) -> dict:
         "lint": not getattr(args, "no_lint", False),
         "deadline_per_cone_s": getattr(args, "deadline_per_cone", None),
         "deadline_total_s": getattr(args, "deadline_total", None),
-        "max_attempts": getattr(args, "max_attempts", 3),
         "strict_synthesis": getattr(args, "strict_synthesis", False),
     }
     return {k: v for k, v in options.items() if v is not None}

@@ -87,10 +87,6 @@ class SynthesisOptions:
             None disables the per-cone deadline.
         deadline_total_s: wall-clock budget for the whole run; on expiry
             every unfinished cone degrades.
-        max_attempts: runs per cone for transient errors before degrading.
-        retry_backoff_s / retry_backoff_max_s: base and cap of the
-            exponential retry backoff (deterministically jittered from
-            ``seed``).
         strict_synthesis: raise :class:`SynthesisError` instead of
             degrading a failed cone (see docs/RESILIENCE.md).
     """
@@ -111,9 +107,6 @@ class SynthesisOptions:
     analyze: bool = False
     deadline_per_cone_s: float | None = None
     deadline_total_s: float | None = None
-    max_attempts: int = 3
-    retry_backoff_s: float = 0.05
-    retry_backoff_max_s: float = 0.5
     strict_synthesis: bool = False
 
     def __post_init__(self) -> None:
@@ -125,8 +118,6 @@ class SynthesisOptions:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise SynthesisError(f"{name} must be positive when set")
-        if self.max_attempts < 1:
-            raise SynthesisError("max_attempts must be at least 1")
         from repro.gates import model_names
 
         if self.gate_model not in model_names():
@@ -161,8 +152,12 @@ class SynthesisReport:
     trace: "EngineTrace | None" = None
     lint: "LintReport | None" = None
     analysis: "AnalysisResult | None" = None
-    degraded_cones: int = 0
     degraded: "tuple[DegradedCone, ...]" = ()
+
+    @property
+    def degraded_cones(self) -> int:
+        """How many cones fell back to the one-to-one mapping."""
+        return len(self.degraded)
 
 
 def synthesize(

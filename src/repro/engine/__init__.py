@@ -1,19 +1,22 @@
 """The pass-based TELS synthesis engine.
 
-Four layers, bottom to top:
+Five modules, bottom to top:
 
 * :mod:`repro.engine.store` — the **shared result store**: canonical-cover
   keyed caches (delta-independent analyses + solved vectors) shared across
-  tasks, outputs, runs, and experiment sweeps.
-* :mod:`repro.engine.tasks` — the **task layer**: each preserved node /
-  primary-output cone becomes an explicit :class:`SynthTask`; cones discover
-  their dependencies (the preserved or collapse-blocked nodes their gates
-  read) while they run.
-* :mod:`repro.engine.scheduler` — the **scheduler**: runs the queued cone
-  tasks in-process, one at a time, and merges their results
-  deterministically (stable task ids, per-task seeded RNG streams).
+  cones, outputs, runs, and experiment sweeps.
+* :mod:`repro.engine.cone` — **one cone**: the collapse → check → split
+  recursion for the cone rooted at one preserved or primary-output node;
+  it reports the preserved or collapse-blocked nodes its gates read.
+* :mod:`repro.engine.resilience` — **deadlines and degradation**: the
+  cooperative :class:`~repro.engine.resilience.Deadline` and the one-to-one
+  fallback for a cone that ran out of time.
+* :mod:`repro.engine.scheduler` — the **scheduler**: a FIFO of cone roots
+  run in-process, one at a time; discovered roots join the queue once, and
+  the results merge deterministically (root-named cones, per-cone seeded
+  RNG streams).
 * :mod:`repro.engine.events` — the **instrumentation layer**: structured
-  per-task events (collapse/check/split timings, cache hit rates) aggregated
+  per-cone events (collapse/check/split timings, cache hit rates) aggregated
   into an :class:`EngineTrace` for the CLI and the experiment reports.
 
 ``repro.core.synthesis`` is a thin compatibility façade over
@@ -39,8 +42,6 @@ __all__ = [
     "EngineTrace",
     "TaskEvent",
     "TaskMetrics",
-    "SynthTask",
-    "TaskResult",
     "EngineResult",
     "run_synthesis",
 ]
@@ -49,8 +50,6 @@ _LAZY = {
     "EngineTrace": "repro.engine.events",
     "TaskEvent": "repro.engine.events",
     "TaskMetrics": "repro.engine.events",
-    "SynthTask": "repro.engine.tasks",
-    "TaskResult": "repro.engine.tasks",
     "EngineResult": "repro.engine.scheduler",
     "run_synthesis": "repro.engine.scheduler",
 }

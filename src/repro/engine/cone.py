@@ -1,4 +1,4 @@
-"""Per-cone TELS synthesis: one task's collapse → check → split pipeline.
+"""Per-cone TELS synthesis: one cone's collapse → check → split pipeline.
 
 This is the Fig. 3 recursion of the original monolithic synthesizer,
 restructured so that one :class:`ConeSynthesizer` handles exactly one cone
@@ -7,7 +7,7 @@ node.  Everything the cone creates (split parts, AND-tree internals) lives
 in a task-local overlay of the source network under names derived from the
 root, so cones never contend and the order cones run in never changes their
 gates.  References to *other* work-network nodes are not recursed into —
-they are recorded as discovered roots for the scheduler to turn into tasks.
+they are recorded as discovered roots for the scheduler to queue.
 
 Rule-4 tie-breaks use an injected ``random.Random`` seeded with
 ``"{seed}:{task_id}"``; string seeding hashes through SHA-512, so streams
@@ -34,7 +34,6 @@ from repro.core.threshold import (
     constant_threshold,
 )
 from repro.engine.events import TaskMetrics, timed
-from repro.engine.tasks import TaskResult
 from repro.errors import SynthesisError
 from repro.network.network import BooleanNetwork
 
@@ -79,7 +78,10 @@ class ConeSynthesizer:
         )
 
     # ------------------------------------------------------------------
-    def run(self) -> TaskResult:
+    def run(
+        self,
+    ) -> tuple[tuple[ThresholdGate, ...], tuple[str, ...], TaskMetrics]:
+        """Synthesize the cone: its gates, discovered roots, and metrics."""
         # The checker is shared by every cone of the run; its deadline is
         # scoped to this cone run and restored afterwards, so one cone's
         # budget never leaks into the next.
@@ -90,7 +92,9 @@ class ConeSynthesizer:
         finally:
             self.checker.deadline = saved_deadline
 
-    def _run(self) -> TaskResult:
+    def _run(
+        self,
+    ) -> tuple[tuple[ThresholdGate, ...], tuple[str, ...], TaskMetrics]:
         run_started = time.perf_counter()
         stats_before = self.checker.stats.snapshot()
         store = self.checker.store
@@ -139,12 +143,7 @@ class ConeSynthesizer:
             self.metrics.persistent_misses = store_delta.persistent_misses
             self.metrics.transformed_hits = store_delta.transformed_hits
             self.metrics.transform_rejects = store_delta.transform_rejects
-        return TaskResult(
-            task_id=self.root,
-            gates=tuple(self.gates),
-            discovered=tuple(self._discovered),
-            metrics=self.metrics,
-        )
+        return tuple(self.gates), tuple(self._discovered), self.metrics
 
     # ------------------------------------------------------------------
     def _check(self, function: BooleanFunction):

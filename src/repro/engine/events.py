@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,6 @@ class TaskMetrics:
     solver_timeouts: int = 0
     #: Always 0.0 (lint runs once, per network); perfbench still reads it.
     lint_s: float = 0.0
-    #: Runs this cone consumed (retries inflate this).
-    attempts: int = 1
     #: True when the cone fell back to the one-to-one mapping.
     degraded: bool = False
 
@@ -113,7 +111,6 @@ class TaskMetrics:
             self.wall_s,
             {
                 "gates": self.gates_emitted,
-                "attempts": self.attempts,
                 "degraded": self.degraded,
             },
         )
@@ -159,10 +156,8 @@ class EngineTrace:
     network_analysis_s: float = 0.0
     analysis_removals: int | None = None
     analysis_min_slack: int | None = None
-    #: Transient-error retries (see docs/RESILIENCE.md).
+    #: Always 0 (cones are never retried); perfbench still reads it.
     retries: int = 0
-    #: ``(task_id, reason)`` per cone that fell back to one-to-one mapping.
-    degraded: list[tuple[str, str]] = field(default_factory=list)
 
     def add(self, metrics: TaskMetrics) -> None:
         self.tasks.append(metrics)
@@ -208,8 +203,11 @@ class EngineTrace:
     def slowest(self, n: int = 3) -> list[TaskMetrics]:
         return sorted(self.tasks, key=lambda m: -m.wall_s)[:n]
 
-    def summary_lines(self) -> list[str]:
-        """Human-readable run summary for the CLI."""
+    def summary_lines(self, degraded: Sequence = ()) -> list[str]:
+        """Human-readable run summary for the CLI.
+
+        ``degraded`` is the run's ``SynthesisReport.degraded`` records.
+        """
         lines = [
             f"engine: {self.num_tasks} tasks, gate model {self.gate_model}, "
             f"wall {self.wall_s:.3f}s "
@@ -247,15 +245,9 @@ class EngineTrace:
                 f"{int(self.total('transformed_hits'))} NP-transformed, "
                 f"{int(self.total('transform_rejects'))} rejected"
             )
-        if self.degraded or self.retries:
-            cones = ", ".join(
-                f"{task_id} ({reason})" for task_id, reason in self.degraded
-            )
-            lines.append(
-                f"degraded: {len(self.degraded)} cones"
-                + (f" [{cones}]" if cones else "")
-                + f", {self.retries} retries"
-            )
+        if degraded:
+            cones = ", ".join(f"{d.task_id} ({d.reason})" for d in degraded)
+            lines.append(f"degraded: {len(degraded)} cones [{cones}]")
         if self.network_lint_violations is not None:
             lines.append(
                 f"lint: {self.network_lint_violations} violations "
@@ -278,5 +270,5 @@ class EngineTrace:
             lines.append(f"slowest tasks: {tasks}")
         return lines
 
-    def format_summary(self) -> str:
-        return "\n".join(self.summary_lines())
+    def format_summary(self, degraded: Sequence = ()) -> str:
+        return "\n".join(self.summary_lines(degraded))

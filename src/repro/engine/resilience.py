@@ -1,14 +1,10 @@
 """Resilience primitives for the synthesis engine.
 
-Three concerns live here, all consumed by the scheduler:
+Two concerns live here, both consumed by the scheduler:
 
 * **Deadlines** — :class:`Deadline` is a monotonic budget checked
   cooperatively inside the cone loop and the threshold checker (which also
   forwards the remaining time to the ILP solver as its time limit).
-
-* **Policy** — :class:`ResiliencePolicy` holds the scheduler's knobs: a
-  cone whose deadline expires degrades at once, and a cone raising a
-  transient error retries with backoff until ``max_attempts``.
 
 * **Graceful degradation** — :func:`fallback_cone_gates` realizes one cone
   with the paper's one-to-one mapping baseline (Section VI-A): extract the
@@ -28,7 +24,6 @@ from repro.core.identify import ThresholdChecker
 from repro.core.mapping import one_to_one_map
 from repro.core.threshold import ThresholdGate
 from repro.errors import DeadlineExceeded, SynthesisError
-from repro.faults.retry import RetryPolicy
 from repro.network.network import BooleanNetwork
 from repro.network.transform import decompose
 
@@ -72,35 +67,7 @@ class DegradedCone:
 
     task_id: str
     reason: str
-    attempts: int
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """The scheduler's knobs for deadlines and retries."""
-
-    deadline_per_cone_s: float | None = None
-    deadline_total_s: float | None = None
-    max_attempts: int = 3
-    strict: bool = False
-    retry: RetryPolicy = RetryPolicy()
-
-    @classmethod
-    def from_options(cls, options) -> "ResiliencePolicy":
-        """Lift the resilience fields off ``SynthesisOptions``."""
-        return cls(
-            deadline_per_cone_s=getattr(options, "deadline_per_cone_s", None),
-            deadline_total_s=getattr(options, "deadline_total_s", None),
-            max_attempts=getattr(options, "max_attempts", 3),
-            strict=getattr(options, "strict_synthesis", False),
-            retry=RetryPolicy(
-                max_attempts=getattr(options, "max_attempts", 3),
-                base_backoff_s=getattr(options, "retry_backoff_s", 0.05),
-                max_backoff_s=getattr(options, "retry_backoff_max_s", 0.5),
-                seed=getattr(options, "seed", 0),
-            ),
-        )
 
 
 def cone_subnetwork(

@@ -1,21 +1,27 @@
 """The work-queue scheduler driving the pass-based synthesis engine.
 
-``run_synthesis`` plans one task per primary-output cone, runs the queued
-tasks one at a time in-process, and turns every newly *discovered* root (a
-preserved or collapse-blocked node some finished cone's gates read) into a
-new task exactly once.  When the queue drains, the per-task gate lists are
-merged into one :class:`ThresholdNetwork` by a deterministic DFS over the
-task graph — primary outputs in declaration order, then each task's
-discovered roots in discovery order.
+The preserved-fanout DAG of the prepared network (Section V-A) partitions
+synthesis into independent *cones*: one rooted at every primary-output node,
+one at every preserved fanout node, and one at every node collapsing had to
+stop at (a ψ- or cube-budget violation).  A cone is named by its root.
 
-The scheduler is also where the resilience policy is applied (see
-docs/RESILIENCE.md): transient errors retry with backoff up to
-``max_attempts``, and deadline expiries degrade immediately.  A degraded
-cone is realized with the paper's one-to-one mapping
+``run_synthesis`` queues the primary-output roots, runs the queued cones one
+at a time in-process, and queues every newly *discovered* root (a preserved
+or collapse-blocked node some finished cone's gates read) exactly once.
+When the queue drains, the per-cone gate lists are merged into one
+:class:`ThresholdNetwork` by a deterministic DFS over the cone graph —
+primary outputs in declaration order, then each cone's discovered roots in
+discovery order.
+
+The scheduler also applies the resilience rules (see docs/RESILIENCE.md):
+a cone whose per-cone deadline expires degrades at once, and on expiry of
+the total deadline every unfinished cone degrades.  A degraded cone is
+realized with the paper's one-to-one mapping
 (:func:`~repro.engine.resilience.fallback_cone_gates`), so
 ``run_synthesis`` always returns a complete, simulation-equivalent,
 lint-clean network — unless ``strict_synthesis`` turns degradation into a
-:class:`~repro.errors.SynthesisError`.
+:class:`~repro.errors.SynthesisError`.  Cancellation is observed between
+cones.
 """
 
 from __future__ import annotations
@@ -25,30 +31,22 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.identify import ThresholdChecker
-from repro.core.threshold import ThresholdNetwork
+from repro.core.threshold import ThresholdGate, ThresholdNetwork
 from repro.engine.cone import ConeSynthesizer
 from repro.engine.events import EngineTrace, TaskMetrics
 from repro.engine.resilience import (
     Deadline,
     DegradedCone,
-    ResiliencePolicy,
     fallback_cone_gates,
 )
 from repro.engine.store import ResultStore
-from repro.engine.tasks import (
-    SynthTask,
-    TaskResult,
-    plan_initial_tasks,
-    preserved_set,
-)
-from repro.errors import (
-    DeadlineExceeded,
-    SynthesisCancelled,
-    SynthesisError,
-    TransientError,
-)
+from repro.errors import DeadlineExceeded, SynthesisCancelled, SynthesisError
 from repro.faults.injector import get_injector
 from repro.network.network import BooleanNetwork
+
+
+#: A finished cone: its gates and the roots its gates read.
+ConeResult = tuple[tuple[ThresholdGate, ...], tuple[str, ...]]
 
 
 @dataclass
@@ -102,20 +100,24 @@ def run_synthesis(
         )
     checker = ThresholdChecker.from_options(options, store=store)
     preserved = preserved_set(network, options.preserve_sharing)
-    initial = plan_initial_tasks(network)
-    policy = ResiliencePolicy.from_options(options)
-    total_deadline = Deadline.after(policy.deadline_total_s)
+    # One cone per primary-output node, in declaration order; further
+    # roots are discovered as cones complete.
+    outputs = list(
+        dict.fromkeys(o for o in network.outputs if network.has_node(o))
+    )
+    total_deadline = Deadline.after(options.deadline_total_s)
     # Validate TELS_CHAOS up front: a malformed spec must fail the run
     # loudly, not lie dormant until (or unless) an injection site fires.
     get_injector()
 
     started = time.perf_counter()
     trace = EngineTrace(gate_model=getattr(options, "gate_model", "ltg"))
-    tasks: dict[str, SynthTask] = {}
-    results: dict[str, TaskResult] = {}
-    #: FIFO of (task, attempt): retries and discovered roots join the back.
-    queue: deque[tuple[SynthTask, int]] = deque()
-    degraded_records: list[DegradedCone] = []
+    #: Every root ever queued, in queueing order.
+    scheduled: dict[str, None] = dict.fromkeys(outputs)
+    results: dict[str, ConeResult] = {}
+    #: FIFO of cone roots: discovered roots join the back.
+    queue: deque[str] = deque(outputs)
+    degraded: list[DegradedCone] = []
     listener = on_event
 
     def _emit(payload: dict) -> None:
@@ -127,10 +129,16 @@ def run_synthesis(
         except Exception:
             listener = None  # a broken listener must never fail the run
 
-    def _register(result: TaskResult, submit_new: bool = True) -> None:
-        results[result.task_id] = result
-        trace.add(result.metrics)
-        for event in result.metrics.events():
+    def _register(
+        root: str,
+        gates: tuple[ThresholdGate, ...],
+        discovered: tuple[str, ...],
+        metrics: TaskMetrics,
+        submit_new: bool = True,
+    ) -> None:
+        results[root] = (gates, discovered)
+        trace.add(metrics)
+        for event in metrics.events():
             _emit(
                 {
                     "event": "phase",
@@ -143,111 +151,75 @@ def run_synthesis(
         _emit(
             {
                 "event": "task-done",
-                "task_id": result.task_id,
-                "gates": result.metrics.gates_emitted,
-                "degraded": result.metrics.degraded,
+                "task_id": root,
+                "gates": metrics.gates_emitted,
+                "degraded": metrics.degraded,
                 "completed": len(results),
-                "scheduled": len(tasks),
+                "scheduled": len(scheduled),
             }
         )
-        for root in result.discovered:
-            if root not in tasks:
-                task = SynthTask.for_root(root, requested_by=result.task_id)
-                tasks[task.task_id] = task
+        for found in discovered:
+            if found not in scheduled:
+                scheduled[found] = None
                 if submit_new:
-                    queue.append((task, 1))
+                    queue.append(found)
 
     def _degrade(
-        task_id: str,
-        reason: str,
-        attempts: int,
-        detail: str = "",
-        submit_new: bool = True,
+        root: str, reason: str, detail: str = "", submit_new: bool = True
     ) -> None:
         """Resolve a failed cone with the one-to-one fallback mapping."""
-        if policy.strict:
+        if options.strict_synthesis:
             raise SynthesisError(
-                f"cone {task_id!r} failed ({reason}"
+                f"cone {root!r} failed ({reason}"
                 + (f": {detail}" if detail else "")
                 + ") and strict synthesis forbids degradation"
             )
         gates, discovered = fallback_cone_gates(
-            network, tasks[task_id].root, preserved, options, checker=checker
+            network, root, preserved, options, checker=checker
         )
         metrics = TaskMetrics(
-            task_id=task_id,
-            gates_emitted=len(gates),
-            attempts=attempts,
-            degraded=True,
+            task_id=root, gates_emitted=len(gates), degraded=True
         )
-        degraded_records.append(
-            DegradedCone(task_id, reason, attempts, detail)
-        )
-        trace.degraded.append((task_id, reason))
-        _emit({"event": "task-degraded", "task_id": task_id, "reason": reason})
-        _register(
-            TaskResult(
-                task_id=task_id,
-                gates=gates,
-                discovered=discovered,
-                metrics=metrics,
-                degraded=True,
-                attempts=attempts,
-            ),
-            submit_new=submit_new,
-        )
+        degraded.append(DegradedCone(root, reason, detail))
+        _emit({"event": "task-degraded", "task_id": root, "reason": reason})
+        _register(root, gates, discovered, metrics, submit_new=submit_new)
 
-    def _run_task(task: SynthTask, attempt: int) -> None:
-        """One cone run; a failure retries, degrades, or propagates."""
+    def _run_cone(root: str) -> None:
+        """One cone run; a deadline expiry degrades, anything else
+        propagates."""
         try:
-            result = ConeSynthesizer(
+            gates, discovered, metrics = ConeSynthesizer(
                 network,
-                task.root,
+                root,
                 options,
                 checker,
                 preserved,
-                deadline=Deadline.after(policy.deadline_per_cone_s),
+                deadline=Deadline.after(options.deadline_per_cone_s),
             ).run()
         except DeadlineExceeded as exc:
-            _degrade(task.task_id, "deadline", attempt, str(exc))
-        except TransientError as exc:
-            if attempt >= policy.max_attempts:
-                _degrade(task.task_id, "retry-exhausted", attempt, str(exc))
-            else:
-                trace.retries += 1
-                time.sleep(policy.retry.backoff_s(attempt, key=task.task_id))
-                queue.append((task, attempt + 1))
+            _degrade(root, "deadline", str(exc))
         else:
-            result.attempts = result.metrics.attempts = attempt
-            _register(result)
+            _register(root, gates, discovered, metrics)
 
     try:
-        for task in initial:
-            tasks[task.task_id] = task
-            queue.append((task, 1))
         while queue:
             if cancel is not None and cancel.is_set():
                 # Cooperative cancellation, observed only between cones.
                 raise SynthesisCancelled(
-                    f"cancelled with {len(tasks) - len(results)} of "
-                    f"{len(tasks)} cones unfinished"
+                    f"cancelled with {len(scheduled) - len(results)} of "
+                    f"{len(scheduled)} cones unfinished"
                 )
             if total_deadline is not None and total_deadline.expired:
                 # Whole-run budget exhausted: every unfinished cone —
                 # including roots the fallbacks themselves discover —
                 # degrades to the one-to-one mapping.
                 queue.clear()
-                while len(results) < len(tasks):
-                    for task_id in list(tasks):
-                        if task_id not in results:
-                            _degrade(
-                                task_id,
-                                "total-deadline",
-                                1,
-                                submit_new=False,
-                            )
+                while len(results) < len(scheduled):
+                    for root in list(scheduled):
+                        if root not in results:
+                            _degrade(root, "total-deadline", submit_new=False)
                 break
-            _run_task(*queue.popleft())
+            _run_cone(queue.popleft())
     except SynthesisCancelled:
         # A cancelled run still banks its work: everything solved so far
         # goes to the persistent tier for the next submission to reuse.
@@ -256,10 +228,9 @@ def run_synthesis(
     trace.wall_s = time.perf_counter() - started
     store.flush_persistent()
 
-    result_net = _assemble(network, initial, results)
-    report = _build_report(options, checker, trace, results)
-    report.degraded_cones = len(degraded_records)
-    report.degraded = tuple(degraded_records)
+    result_net = _assemble(network, outputs, results)
+    report = _build_report(checker, trace)
+    report.degraded = tuple(degraded)
     if getattr(options, "lint", True):
         # The engine's one lint pass, over the assembled network: the same
         # call `tels lint` makes, structural and gate-local rules together.
@@ -296,47 +267,62 @@ def run_synthesis(
     )
 
 
+def preserved_set(
+    network: BooleanNetwork, preserve_sharing: bool
+) -> frozenset[str]:
+    """The sharing set S: primary-output nodes plus multi-reader fanout nodes.
+
+    These are the collapse barriers of Fig. 4 and therefore the natural cone
+    roots.
+    """
+    preserved: set[str] = set(
+        o for o in network.outputs if network.has_node(o)
+    )
+    if preserve_sharing:
+        for signal, readers in network.fanout_map().items():
+            if network.has_node(signal):
+                uses = len(readers) + (1 if network.is_output(signal) else 0)
+                if uses >= 2:
+                    preserved.add(signal)
+    return frozenset(preserved)
+
+
 def _assemble(
     network: BooleanNetwork,
-    initial: list[SynthTask],
-    results: dict[str, TaskResult],
+    outputs: list[str],
+    results: dict[str, ConeResult],
 ) -> ThresholdNetwork:
-    """Merge per-task gates into one network, in canonical task order."""
+    """Merge per-cone gates into one network, in canonical cone order."""
     result_net = ThresholdNetwork(network.name + "_th")
     for pi in network.inputs:
         result_net.add_input(pi)
     for out in network.outputs:
         result_net.add_output(out)
     visited: set[str] = set()
-    stack = [task.task_id for task in reversed(initial)]
+    stack = list(reversed(outputs))
     while stack:
-        task_id = stack.pop()
-        if task_id in visited:
+        root = stack.pop()
+        if root in visited:
             continue
-        visited.add(task_id)
-        result = results.get(task_id)
+        visited.add(root)
+        result = results.get(root)
         if result is None:
-            raise SynthesisError(f"task {task_id!r} was never completed")
-        for gate in result.gates:
+            raise SynthesisError(f"cone {root!r} was never completed")
+        gates, discovered = result
+        for gate in gates:
             result_net.add_gate(gate)
-        stack.extend(reversed(result.discovered))
+        stack.extend(reversed(discovered))
     result_net.cleanup()
     result_net.check()
     return result_net
 
 
-def _build_report(
-    options,
-    checker: ThresholdChecker,
-    trace: EngineTrace,
-    results: dict[str, TaskResult],
-):
-    """Aggregate per-task metrics into the façade's SynthesisReport."""
+def _build_report(checker: ThresholdChecker, trace: EngineTrace):
+    """Aggregate per-cone metrics into the façade's SynthesisReport."""
     from repro.core.synthesis import SynthesisReport
 
     report = SynthesisReport(checker=checker, trace=trace)
-    for result in results.values():
-        m = result.metrics
+    for m in trace.tasks:
         report.nodes_processed += m.nodes_processed
         report.gates_emitted += m.gates_emitted
         report.binate_splits += m.binate_splits

@@ -64,10 +64,5 @@ class SynthesisCancelled(ReproError):
     """
 
 
-class TransientError(ReproError):
-    """A failure worth retrying: a cache I/O hiccup or an injected chaos
-    fault — anything that is not a property of the model."""
-
-
 class ChaosError(ReproError):
     """Raised on a malformed ``TELS_CHAOS`` fault-injection spec."""

@@ -249,9 +249,12 @@ def _kernel_signature(cover: Cover, variables: tuple[str, ...]) -> frozenset:
 def _signature_to_function(signature: frozenset) -> BooleanFunction:
     names = sorted({name for cube in signature for name, _ in cube})
     index = {n: i for i, n in enumerate(names)}
+    # Iterating the frozenset directly would order the cubes by ``str``
+    # hashing, so the extracted node would change with PYTHONHASHSEED;
+    # sorting each cube's literals gives an explicit, total order.
     cubes = [
         Cube.from_literals({index[n]: ph for n, ph in cube}, len(names))
-        for cube in signature
+        for cube in sorted(signature, key=sorted)
     ]
     return BooleanFunction(Cover(cubes, len(names)), names)
 

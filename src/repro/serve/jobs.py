@@ -45,7 +45,7 @@ ACTIVE_STATES = ("queued", "running")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
 #: Synthesis options older daemons accepted and journaled, since retired.
-_RETIRED_OPTIONS = frozenset({"backend", "use_presolve"})
+_RETIRED_OPTIONS = frozenset({"backend", "use_presolve", "max_attempts"})
 
 
 @dataclass
@@ -126,7 +126,7 @@ class JobManager:
         self.max_workers = max_workers
         self.started_at = time.time()
         #: Engine resilience counters folded from every finished job.
-        self._resilience = {"retries": 0, "degraded_cones": 0}
+        self._resilience = {"degraded_cones": 0}
         self._jobs: dict[str, Job] = {}
         self._queue: queue.Queue[str | None] = queue.Queue(maxsize=queue_limit)
         self._lock = threading.RLock()
@@ -367,18 +367,15 @@ class JobManager:
             cancel=job.cancel_event,
         )
         verified = verify_threshold_network(source, network)
-        self._fold_resilience(report.trace)
+        self._fold_resilience(report)
         return report_to_dict(
             network, report, verified, time.perf_counter() - started
         )
 
-    def _fold_resilience(self, trace) -> None:
+    def _fold_resilience(self, report) -> None:
         """Accumulate one finished run's fault-handling counters."""
-        if trace is None:
-            return
         with self._lock:
-            self._resilience["retries"] += trace.retries
-            self._resilience["degraded_cones"] += len(trace.degraded)
+            self._resilience["degraded_cones"] += report.degraded_cones
 
     def resilience_counters(self) -> dict:
         """The compact fault-handling summary (``/healthz`` + ``/stats``)."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from repro.errors import BlifError, ReproError, SynthesisError
 
 #: SynthesisOptions fields settable over the API, with their JSON types.
-#: Everything else (retry/backoff internals, chaos knobs) stays server-side.
+#: Everything else (chaos knobs, cache placement) stays server-side.
 OPTION_FIELDS: dict[str, tuple[type, ...]] = {
     "psi": (int,),
     "delta_on": (int,),
@@ -39,7 +39,6 @@ OPTION_FIELDS: dict[str, tuple[type, ...]] = {
     "analyze": (bool,),
     "deadline_per_cone_s": (int, float, type(None)),
     "deadline_total_s": (int, float, type(None)),
-    "max_attempts": (int,),
     "strict_synthesis": (bool,),
 }
 
@@ -212,8 +211,6 @@ def report_to_dict(network, report, source_verified: bool, wall_s: float) -> dic
             "tasks": trace.num_tasks,
             "gate_model": trace.gate_model,
             "wall_s": round(trace.wall_s, 6),
-            "retries": trace.retries,
-            "degraded": len(trace.degraded),
         }
         result["cache"] = {
             "checker_calls": int(trace.total("checker_calls")),

@@ -24,6 +24,10 @@ class TestOptions:
         with pytest.raises(SynthesisError):
             SynthesisOptions(delta_on=-1)
 
+    def test_retired_max_attempts_rejected(self):
+        with pytest.raises(TypeError, match="max_attempts"):
+            SynthesisOptions(max_attempts=2)
+
 
 class TestBasicSynthesis:
     def test_single_threshold_node(self):

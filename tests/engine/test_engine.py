@@ -1,4 +1,4 @@
-"""Engine-level behaviour: the task layer, run traces, store reuse.
+"""Engine-level behaviour: the cone queue, run traces, store reuse.
 
 Every synthesized network must simulate equivalent to its source, and
 must not depend on which process synthesized it: the only parallel unit
@@ -17,9 +17,8 @@ from repro.benchgen.random_logic import random_logic_network
 from repro.core.synthesis import SynthesisOptions, synthesize_with_report
 from repro.core.verify import verify_threshold_network
 from repro.engine.cone import task_rng
-from repro.engine.scheduler import run_synthesis
+from repro.engine.scheduler import preserved_set, run_synthesis
 from repro.engine.store import ResultStore
-from repro.engine.tasks import plan_initial_tasks, preserved_set
 from repro.network.scripts import prepare_tels
 
 
@@ -63,10 +62,11 @@ def _pooled(net, options, copies=2):
 class TestTaskLayer:
     def test_one_initial_task_per_output_node(self):
         net = prepare_tels(motivational_network())
-        tasks = plan_initial_tasks(net)
-        roots = [t.root for t in tasks]
-        assert roots == [o for o in net.outputs if net.has_node(o)]
-        assert len({t.task_id for t in tasks}) == len(tasks)
+        outputs = [o for o in net.outputs if net.has_node(o)]
+        roots = [m.task_id for m in run_synthesis(net).trace.tasks]
+        # The queue is FIFO: output cones run first, in declaration order.
+        assert roots[: len(outputs)] == outputs
+        assert len(set(roots)) == len(roots)
 
     def test_preserved_set_contains_outputs(self):
         net = prepare_tels(motivational_network())

@@ -1,4 +1,4 @@
-"""Resilience layer: deadlines, degradation, retries, chaos runs.
+"""Resilience layer: deadlines, degradation, chaos runs.
 
 The contract under test: whatever faults the chaos harness injects on the
 recoverable paths, ``run_synthesis`` completes with a network that is
@@ -20,24 +20,15 @@ from repro.core.synthesis import SynthesisOptions
 from repro.core.verify import verify_threshold_network
 from repro.engine.resilience import (
     Deadline,
-    ResiliencePolicy,
     cone_subnetwork,
     fallback_cone_gates,
 )
-from repro.engine.scheduler import run_synthesis
-from repro.engine.tasks import preserved_set
-from repro.errors import DeadlineExceeded, SynthesisError, TransientError
+from repro.engine.scheduler import preserved_set, run_synthesis
+from repro.errors import DeadlineExceeded, SynthesisError
 from repro.faults.injector import CHAOS_ENV
 from repro.lint.diagnostics import LintOptions
 from repro.lint.runner import run_lint
 from repro.network.scripts import prepare_tels
-
-
-def _gate_list(net):
-    return [
-        (g.name, g.inputs, g.weights, g.threshold, g.delta_on, g.delta_off)
-        for g in net.gates()
-    ]
 
 
 def _source():
@@ -70,19 +61,6 @@ class TestDeadline:
         assert deadline.remaining() == 0.0
         with pytest.raises(DeadlineExceeded, match="during cone 'z'"):
             deadline.check("cone 'z'")
-
-    def test_policy_lifts_options(self):
-        options = SynthesisOptions(
-            deadline_per_cone_s=1.5,
-            deadline_total_s=9.0,
-            max_attempts=5,
-            strict_synthesis=True,
-        )
-        policy = ResiliencePolicy.from_options(options)
-        assert policy.deadline_per_cone_s == 1.5
-        assert policy.deadline_total_s == 9.0
-        assert policy.max_attempts == 5
-        assert policy.strict
 
 
 class TestFallback:
@@ -129,7 +107,7 @@ class TestDeadlineDegradation:
         assert report.degraded_cones == len(result.trace.tasks)
         assert report.degraded_cones > 0
         assert all(d.reason == "deadline" for d in report.degraded)
-        assert {t for t, _r in result.trace.degraded} == {
+        assert {m.task_id for m in result.trace.tasks if m.degraded} == {
             d.task_id for d in report.degraded
         }
         _check(source, result)
@@ -162,55 +140,6 @@ class TestDeadlineDegradation:
             assert len(gate.inputs) <= options.psi
 
 
-class TestTransientRetry:
-    @staticmethod
-    def _flaky(monkeypatch, failures: int) -> None:
-        """Make every cone raise a transient error on its first runs."""
-        from repro.engine import scheduler
-
-        real_run = scheduler.ConeSynthesizer.run
-        runs: dict[str, int] = {}
-
-        def run(self):
-            runs[self.root] = runs.get(self.root, 0) + 1
-            if runs[self.root] <= failures:
-                raise TransientError(f"flaky cone {self.root!r}")
-            return real_run(self)
-
-        monkeypatch.setattr(scheduler.ConeSynthesizer, "run", run)
-
-    def test_retried_cones_match_a_clean_run(self, monkeypatch):
-        net = prepare_tels(_source())
-        clean = run_synthesis(net, SynthesisOptions(psi=3))
-        self._flaky(monkeypatch, failures=1)
-        options = SynthesisOptions(
-            psi=3, retry_backoff_s=0.0, retry_backoff_max_s=0.0
-        )
-        result = run_synthesis(net, options)
-        assert result.report.degraded_cones == 0
-        assert result.trace.retries == len(result.trace.tasks)
-        assert all(m.attempts == 2 for m in result.trace.tasks)
-        assert _gate_list(result.network) == _gate_list(clean.network)
-
-    def test_exhausted_retries_degrade(self, monkeypatch):
-        source = _source()
-        net = prepare_tels(source)
-        self._flaky(monkeypatch, failures=99)
-        options = SynthesisOptions(
-            psi=3,
-            max_attempts=2,
-            retry_backoff_s=0.0,
-            retry_backoff_max_s=0.0,
-        )
-        result = run_synthesis(net, options)
-        assert result.report.degraded_cones == len(result.trace.tasks)
-        assert all(
-            d.reason == "retry-exhausted" and d.attempts == 2
-            for d in result.report.degraded
-        )
-        _check(source, result)
-
-
 class TestChaosEndToEnd:
     def test_combined_chaos_differential(self, tmp_path, monkeypatch):
         """The acceptance scenario: cache write faults plus torn cache
@@ -219,13 +148,12 @@ class TestChaosEndToEnd:
         source = _source()
         net = prepare_tels(source)
         monkeypatch.setenv(CHAOS_ENV, "cache=0.3,cache-corrupt=0.3:5")
-        options = SynthesisOptions(psi=3, retry_backoff_s=0.01)
+        options = SynthesisOptions(psi=3)
         result = run_synthesis(
             net, options, cache_dir=str(tmp_path / "cache")
         )
         _check(source, result)
-        for degraded in result.report.degraded:
-            assert degraded.reason in {"deadline", "retry-exhausted"}
+        assert {d.reason for d in result.report.degraded} <= {"deadline"}
 
     def test_no_chaos_means_no_degradation(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)

@@ -206,11 +206,13 @@ class TestResilienceFlags:
         assert "verified=True" in captured.out
         assert "total-deadline" in captured.err
 
-    def test_max_attempts_flag_parses(self, blif_file, capsys):
-        assert main(
-            ["synth", str(blif_file), "--max-attempts", "5"]
-        ) == 0
-        assert "verified=True" in capsys.readouterr().out
+    def test_retired_max_attempts_flag_is_a_usage_error(
+        self, blif_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(blif_file), "--max-attempts", "5"])
+        assert exc.value.code == 2
+        assert "--max-attempts" in capsys.readouterr().err
 
     def test_synth_under_chaos_env(self, blif_file, capsys, monkeypatch):
         monkeypatch.setenv("TELS_CHAOS", "cache=0.2:1")

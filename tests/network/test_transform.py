@@ -1,5 +1,10 @@
 """Unit tests for the network restructuring transforms."""
 
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.boolean.function import BooleanFunction
 from repro.network.network import BooleanNetwork
 from repro.network.simulate import equivalent_networks
@@ -163,6 +168,39 @@ class TestExtract:
             out = net.copy()
             extract(out)
             assert equivalent_networks(net, out), seed
+
+    def test_output_independent_of_hash_seed(self):
+        """The extracted kernel node's cube order must not follow ``str``
+        hashing: the written BLIF is identical under two hash seeds."""
+        code = (
+            "from repro.boolean.function import BooleanFunction as F\n"
+            "from repro.io.blif import to_blif\n"
+            "from repro.network.network import BooleanNetwork\n"
+            "from repro.network.transform import extract\n"
+            "net = BooleanNetwork('kern')\n"
+            "for pi in 'abcdeh':\n"
+            "    net.add_input(pi)\n"
+            "net.add_node('f', F.parse('a c + a d + b c + b d + e'))\n"
+            "net.add_node('g', F.parse('a c + a d + b c + b d + h'))\n"
+            "net.add_node('u', F.parse('c e h + d e h + a'))\n"
+            "for out in 'fgu':\n"
+            "    net.add_output(out)\n"
+            "extract(net)\n"
+            "print(to_blif(net), end='')\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        blifs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert "[k0]" in blifs[0]
+        assert blifs[0] == blifs[1]
 
 
 def _reference_extract():

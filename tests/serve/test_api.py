@@ -100,7 +100,8 @@ class TestErrorPaths:
         assert "warp_factor" in str(err.value)
 
     @pytest.mark.parametrize(
-        "retired", [{"backend": "scipy"}, {"use_presolve": False}]
+        "retired",
+        [{"backend": "scipy"}, {"use_presolve": False}, {"max_attempts": 3}],
     )
     def test_retired_solver_options_are_400(
         self, client, small_blif, retired

@@ -178,13 +178,15 @@ class TestRecovery:
             manager.shutdown()
 
     def test_retired_solver_options_replay(self, tmp_path):
-        """Older journals may carry the retired ``backend`` and
-        ``use_presolve`` options; recovery drops them, so the queued job
-        replays and finishes instead of failing as unrecoverable."""
+        """Older journals may carry the retired ``backend``,
+        ``use_presolve`` and ``max_attempts`` options; recovery drops them,
+        so the queued job replays and finishes instead of failing as
+        unrecoverable."""
         request = (
             '{"blif":".model m\\n.inputs a b\\n.outputs y\\n'
             '.names a b y\\n11 1\\n.end\\n","name":"retired",'
-            '"options":{"backend":"scipy","use_presolve":false,"psi":3},'
+            '"options":{"backend":"scipy","use_presolve":false,'
+            '"max_attempts":3,"psi":3},'
             '"use_cache":true}'
         )
         journal_file(tmp_path).write_text(
