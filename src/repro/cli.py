@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import signal
 import sys
 
 from repro.benchgen.mcnc import benchmark_names
@@ -544,34 +545,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.corpus is not None:
-        # Suite mode: wrap benchmarks/synth_bench (the CI artifact script).
-        # The benchmarks package lives next to src/, not inside it, so it
-        # is reached through the repo root when running from a checkout.
-        import sys as _sys
-        from pathlib import Path as _Path
-
-        repo_root = _Path(__file__).resolve().parents[2]
-        if str(repo_root) not in _sys.path:
-            _sys.path.insert(0, str(repo_root))
-        from benchmarks.synth_bench import main as bench_main
-
-        bench_args = ["--corpus", args.corpus]
-        if args.output:
-            bench_args += ["-o", args.output]
-        return bench_main(bench_args)
-    if args.name is None:
-        print("error: bench requires a benchmark name (or --corpus)")
-        return 2
     from repro.benchgen.extended import build_extended_benchmark
 
     network = build_extended_benchmark(args.name)
-    text = to_blif(network)
     if args.output:
         write_blif(network, args.output)
         print(f"wrote {args.output}")
     else:
-        print(text, end="")
+        print(to_blif(network), end="")
     return 0
 
 
@@ -782,12 +763,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"tels serve listening on {app.url}")
     if app.manager.journal is not None:
         print(f"jobs journal: {app.manager.journal.path}")
+    # SIGINT and SIGTERM both end in the same drain: a shell that starts the
+    # daemon with ``&`` hands it SIGINT ignored, and SIGTERM's default action
+    # would kill it without flushing the cache or compacting the journal.
+    previous = {
+        signum: signal.signal(signum, signal.default_int_handler)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
         app.serve_forever()
     except KeyboardInterrupt:
         print("tels serve: shutting down", file=sys.stderr)
     finally:
         app.shutdown()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
 
 
@@ -992,23 +982,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synthesis_args(p)
     p.set_defaults(func=cmd_verilog)
 
-    p = sub.add_parser(
-        "bench",
-        help="emit a benchmark stand-in as BLIF, or run the synthesis "
-        "bench suite with --corpus",
-    )
+    p = sub.add_parser("bench", help="emit a benchmark stand-in as BLIF")
     from repro.benchgen.extended import all_benchmark_names
 
-    p.add_argument(
-        "name", nargs="?", choices=sorted(all_benchmark_names())
-    )
+    p.add_argument("name", choices=sorted(all_benchmark_names()))
     p.add_argument("-o", "--output")
-    p.add_argument(
-        "--corpus",
-        choices=("small", "large"),
-        help="run the benchmarks/synth_bench suite instead of emitting "
-        "BLIF ('large' adds the corpus and substrate sections)",
-    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(

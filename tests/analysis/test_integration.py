@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.benchgen.extended import build_extended_benchmark
 from repro.benchgen.paper_examples import motivational_network
 from repro.core.synthesis import SynthesisOptions
+from repro.core.verify import verify_threshold_network
 from repro.engine.scheduler import run_synthesis
 from repro.network.scripts import prepare_tels
 from repro.serve.schemas import report_to_dict, validate_options
@@ -39,6 +43,42 @@ class TestEnginePostPass:
         summary = result.trace.format_summary()
         assert "analysis:" in summary
         assert "verified removal" in summary
+
+    @pytest.mark.parametrize(
+        "name, psi, gate_model, sharing",
+        [
+            ("parmix", 9, "ltg", False),
+            ("parmix", 9, "multi-threshold", False),
+            ("parmix", 9, "flash", False),
+            ("cm152a", 3, "ltg", True),
+            ("cm85a", 3, "ltg", True),
+            ("cmb", 3, "ltg", True),
+            ("comp", 3, "ltg", True),
+        ],
+    )
+    def test_synthesized_output_verifies_and_is_certified(
+        self, name, psi, gate_model, sharing
+    ):
+        """Every gate model's output verifies and gets a certificate over
+        all its gates, and every removal the analyzer suggests survives
+        its own check."""
+        source = build_extended_benchmark(name)
+        result = run_synthesis(
+            prepare_tels(source),
+            SynthesisOptions(
+                psi=psi,
+                gate_model=gate_model,
+                preserve_sharing=sharing,
+                analyze=True,
+            ),
+        )
+        assert verify_threshold_network(source, result.network)
+        analysis = result.report.analysis
+        assert analysis.gate_model == gate_model
+        assert analysis.unverified_findings == []
+        certificate = analysis.certificate
+        covered = len(certificate.gates) + len(certificate.skipped)
+        assert covered == sum(1 for _ in result.network.gates())
 
 
 class TestServeSchema:

@@ -75,6 +75,9 @@ class TestDifferentialNetworks:
                 assert verify_threshold_network(source, network), seed
             warm_store = warm_report.checker.store
             assert warm_store.stats.transform_rejects == 0
+            # A fresh in-memory store over a warm directory: the on-disk
+            # tier answers every first-touch lookup.
+            assert warm_store.stats.persistent_hit_rate == 1.0
 
     def test_warm_gates_keep_their_delta_margins(self, tmp_path):
         """Every gate of a cache-warm network must still meet the defect

@@ -162,12 +162,18 @@ class TestFlashDeviceRules:
 
 
 class TestEngineAbsorption:
-    """End-to-end: the same parity cone, one gate model apart."""
+    """End-to-end: the same parity cones, one gate model apart."""
 
     @staticmethod
-    def _parity_network():
+    def _source(name):
+        """6-bit parity alone, or the ``parmix`` stressor (58 ltg gates,
+        26 multi-threshold), which adds wide-threshold and non-threshold
+        cones around its parity cone."""
         from repro.benchgen.circuits import CircuitBuilder
+        from repro.benchgen.extended import build_extended_benchmark
 
+        if name == "parmix":
+            return build_extended_benchmark("parmix")
         cb = CircuitBuilder("p6")
         cb.output(cb.parity_tree(cb.inputs("y", 6)), "even")
         return cb.done()
@@ -181,21 +187,22 @@ class TestEngineAbsorption:
         from repro.core.verify import verify_threshold_network
         from repro.network.scripts import prepare_tels
 
-        results = {}
-        for model in ("ltg", "multi-threshold"):
-            source = self._parity_network()
-            net, report = synthesize_with_report(
-                prepare_tels(source),
-                SynthesisOptions(
-                    psi=9, gate_model=model, preserve_sharing=False
-                ),
-            )
-            assert verify_threshold_network(source, net)
-            results[model] = (
-                network_stats(net).gates,
-                report.checker.stats.multithreshold_hits,
-            )
-        ltg_gates, _ = results["ltg"]
-        mt_gates, mt_hits = results["multi-threshold"]
-        assert mt_hits >= 1
-        assert mt_gates < ltg_gates
+        for name in ("p6", "parmix"):
+            results = {}
+            for model in ("ltg", "multi-threshold"):
+                source = self._source(name)
+                net, report = synthesize_with_report(
+                    prepare_tels(source),
+                    SynthesisOptions(
+                        psi=9, gate_model=model, preserve_sharing=False
+                    ),
+                )
+                assert verify_threshold_network(source, net)
+                results[model] = (
+                    network_stats(net).gates,
+                    report.checker.stats.multithreshold_hits,
+                )
+            ltg_gates, _ = results["ltg"]
+            mt_gates, mt_hits = results["multi-threshold"]
+            assert mt_hits >= 1, name
+            assert mt_gates < ltg_gates, name

@@ -103,6 +103,7 @@ class TestCommands:
             ["submit", "{blif}", "--jobs", "2"],
             ["serve", "--lease-s", "5"],
             ["worker"],
+            ["bench", "--corpus", "small"],
         ],
     )
     def test_removed_parallel_flags_are_usage_errors(

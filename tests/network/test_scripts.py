@@ -1,5 +1,11 @@
 """Unit tests for the script pipelines (SIS stand-ins)."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.network.scripts import (
     prepare_one_to_one,
     prepare_tels,
@@ -81,3 +87,38 @@ class TestPrepareTels:
             single_cube = func.num_cubes <= 1
             or_shape = all(c.num_literals == 1 for c in func.cover.cubes)
             assert single_cube or or_shape
+
+
+#: Both prep scripts over the nine Table I stand-ins (i10 left out: its
+#: prep alone runs for tens of seconds); prints ``{name: [tels, one]}``.
+_PREP_ALL = """\
+import json
+from repro.benchgen.mcnc import benchmark_names, build_benchmark
+from repro.io.blif import to_blif
+from repro.network.scripts import prepare_one_to_one, prepare_tels
+out = {}
+for name in benchmark_names(include_large=False):
+    src = build_benchmark(name)
+    out[name] = [to_blif(prepare_tels(src)), to_blif(prepare_one_to_one(src, 3))]
+print(json.dumps(out))
+"""
+
+
+def test_prep_output_independent_of_hash_seed():
+    """Prepared networks must not follow ``str`` hashing: the written BLIF
+    of both flows' prep is identical under two hash seeds."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _PREP_ALL],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={"PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+        )
+        for seed in ("0", "3")
+    ]
+    assert len(runs[0]) == 9
+    assert [n for n in runs[0] if runs[0][n] != runs[1][n]] == []
